@@ -19,6 +19,17 @@ const char* exec_mode_name(exec_mode mode) noexcept {
     return "?";
 }
 
+bool parse_exec_mode(std::string_view text, exec_mode& out) {
+    for (const exec_mode mode : {exec_mode::exact, exec_mode::sampled,
+                                 exec_mode::per_shot, exec_mode::noisy}) {
+        if (text == exec_mode_name(mode)) {
+            out = mode;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char* feature_strategy_name(feature_strategy s) noexcept {
     switch (s) {
     case feature_strategy::uniform_random:

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/executor.h"
@@ -32,6 +33,11 @@ enum class exec_mode {
 
 /// Human-readable mode name.
 [[nodiscard]] const char* exec_mode_name(exec_mode mode) noexcept;
+
+/// Strict parse of a mode name (exactly the exec_mode_name spellings:
+/// "exact" | "sampled" | "per_shot" | "noisy"). Returns false (leaving
+/// `out` untouched) on anything else; never throws.
+[[nodiscard]] bool parse_exec_mode(std::string_view text, exec_mode& out);
 
 /// How each ensemble group picks its m = 2^n - 1 features.
 enum class feature_strategy {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <exception>
 #include <utility>
 
 #include "exec/registry.h"
@@ -12,22 +14,24 @@ namespace quorum::exec {
 
 namespace {
 
-[[noreturn]] void fail_span(const shard_work& span, const std::string& why) {
-    throw util::contract_error(
-        "fleet span (samples [" + std::to_string(span.first) + ", " +
+util::contract_error span_error(const std::string& who,
+                                const shard_work& span,
+                                const std::string& why) {
+    return util::contract_error(
+        who + " (samples [" + std::to_string(span.first) + ", " +
         std::to_string(span.first + span.count) + ")) failed: " + why);
 }
 
-/// Mirrors the remote backend's reply validation: error replies and
-/// malformed results surface as structured contract_errors naming the
-/// span; the worker that produced the reply already named itself in any
-/// death message.
+/// Validates one reply and writes its span's slice into `out`. Error
+/// replies and malformed results are protocol failures, not transience:
+/// they fail the span (no retry), naming the lane that sent them.
 void decode_result_into(std::span<const std::uint8_t> reply,
-                        const shard_work& span,
+                        const std::string& lane, const shard_work& span,
                         std::size_t values_per_sample,
                         std::span<double> out) {
+    const std::string who = "fleet worker " + lane;
     if (reply.empty()) {
-        fail_span(span, "empty reply");
+        throw span_error(who, span, "empty reply");
     }
     wire::reader in(reply);
     const std::uint8_t type = in.u8();
@@ -37,10 +41,11 @@ void decode_result_into(std::span<const std::uint8_t> reply,
             message = in.str();
         } catch (const util::contract_error&) {
         }
-        fail_span(span, message);
+        throw span_error(who, span, message);
     }
     if (type != static_cast<std::uint8_t>(wire::message::result)) {
-        fail_span(span, "unexpected reply type " + std::to_string(type));
+        throw span_error(who, span,
+                         "unexpected reply type " + std::to_string(type));
     }
     try {
         const std::uint64_t count = in.u64();
@@ -53,7 +58,8 @@ void decode_result_into(std::span<const std::uint8_t> reply,
         }
         in.expect_done();
     } catch (const util::contract_error& error) {
-        fail_span(span, std::string("malformed reply: ") + error.what());
+        throw span_error(who, span,
+                         std::string("malformed reply: ") + error.what());
     }
 }
 
@@ -68,8 +74,6 @@ worker_fleet::worker_fleet(fleet_config config) : config_(std::move(config)) {
                            config_.inner.find(':') == std::string::npos,
                        "the fleet wraps one plain inner backend name (no "
                        "nesting)");
-    QUORUM_EXPECTS_MSG(config_.max_pending_spans >= 1,
-                       "fleet needs a positive pending-span bound");
     QUORUM_EXPECTS_MSG(config_.rejoin_attempts >= 0 &&
                            config_.rejoin_delay_ms >= 0,
                        "fleet rejoin parameters must be non-negative");
@@ -80,23 +84,17 @@ worker_fleet::~worker_fleet() {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
+        for (const std::unique_ptr<lane_state>& lane : lanes_) {
+            lane->wake.notify_one();
+        }
     }
-    queue_cv_.notify_all();
-    space_cv_.notify_all();
+    idle_cv_.notify_all();
     lanes_cv_.notify_all();
     for (const std::unique_ptr<lane_state>& lane : lanes_) {
         if (lane->thread.joinable()) {
             lane->thread.join();
         }
     }
-    // Jobs the lanes never claimed: fail their batches instead of leaving
-    // collectors blocked on futures that will never resolve.
-    for (span_job& job : queue_) {
-        job.batch->promises[job.index].set_exception(
-            std::make_exception_ptr(
-                util::contract_error("fleet is shutting down")));
-    }
-    queue_.clear();
 }
 
 void worker_fleet::add_factory_lane(transport_factory factory,
@@ -121,7 +119,7 @@ void worker_fleet::add_lane(std::unique_ptr<wire_transport> transport,
                        "fleet lane needs a transport");
     auto lane = std::make_unique<lane_state>();
     lane->label = std::move(label);
-    lane->adopted = std::move(transport);
+    lane->transport = std::move(transport);
     lane_state* raw = lane.get();
     const std::lock_guard<std::mutex> lock(mutex_);
     QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
@@ -133,6 +131,11 @@ void worker_fleet::add_lane(std::unique_ptr<wire_transport> transport,
 std::size_t worker_fleet::lane_count() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return live_lanes_;
+}
+
+std::size_t worker_fleet::owned_lanes() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return live_lanes_ + pending_lanes_;
 }
 
 std::size_t worker_fleet::requeued_spans() const {
@@ -147,9 +150,10 @@ fleet_stats worker_fleet::stats() const {
     snapshot.requeued_spans = requeued_;
     snapshot.lanes.reserve(lanes_.size());
     for (const std::unique_ptr<lane_state>& lane : lanes_) {
+        const std::size_t completed = lane->completed.load();
         snapshot.lanes.push_back(
-            fleet_lane_stats{lane->label, lane->completed, lane->live});
-        snapshot.spans_completed += lane->completed;
+            fleet_lane_stats{lane->label, completed, lane->live});
+        snapshot.spans_completed += completed;
     }
     return snapshot;
 }
@@ -167,7 +171,9 @@ void worker_fleet::wait_for_lanes(std::size_t lanes, int timeout_ms) const {
                         : "; last failure: " + last_lane_error_ + ")"));
 }
 
-std::string worker_fleet::no_workers_message_locked() const {
+std::string worker_fleet::no_workers_message() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
     std::string message = "fleet has no live workers";
     if (!last_lane_error_.empty()) {
         message += " (last failure: " + last_lane_error_ + ")";
@@ -176,16 +182,10 @@ std::string worker_fleet::no_workers_message_locked() const {
 }
 
 void worker_fleet::note_lane_gone_locked() {
-    if (!no_lanes_locked() || stopping_) {
-        return;
+    lanes_cv_.notify_all();
+    if (no_lanes_locked()) {
+        idle_cv_.notify_all();
     }
-    for (span_job& job : queue_) {
-        job.batch->promises[job.index].set_exception(
-            std::make_exception_ptr(
-                util::contract_error(no_workers_message_locked())));
-    }
-    queue_.clear();
-    space_cv_.notify_all();
 }
 
 void worker_fleet::lane_main(lane_state& lane) {
@@ -194,28 +194,24 @@ void worker_fleet::lane_main(lane_state& lane) {
         // Connect + handshake. Factory lanes retry (bounded) — this is
         // both the initial connect and the post-death rejoin; registered
         // lanes get exactly the one connection their worker dialed in.
-        std::unique_ptr<wire_transport> transport;
         try {
-            if (lane.adopted != nullptr) {
-                transport = std::move(lane.adopted);
-            } else {
-                transport = lane.factory(lane.factory_index);
-                QUORUM_EXPECTS_MSG(transport != nullptr,
+            if (lane.transport == nullptr) {
+                lane.transport = lane.factory(lane.factory_index);
+                QUORUM_EXPECTS_MSG(lane.transport != nullptr,
                                    "transport factory returned null");
             }
-            transport->send_message(hello_);
-            wire::check_hello_ack(transport->recv_message(),
+            lane.transport->send_message(hello_);
+            wire::check_hello_ack(lane.transport->recv_message(),
                                   "fleet worker " + lane.label);
         } catch (const std::exception& error) {
+            lane.transport.reset();
             std::unique_lock<std::mutex> lock(mutex_);
             last_lane_error_ = lane.label + ": " + error.what();
             ++failures;
-            const bool abandoned = lane.factory == nullptr ||
-                                   failures > config_.rejoin_attempts;
-            if (stopping_ || abandoned) {
+            if (stopping_ || lane.factory == nullptr ||
+                failures > config_.rejoin_attempts) {
                 --pending_lanes_;
                 note_lane_gone_locked();
-                lanes_cv_.notify_all();
                 return;
             }
             lock.unlock();
@@ -224,133 +220,176 @@ void worker_fleet::lane_main(lane_state& lane) {
             continue;
         }
         failures = 0;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --pending_lanes_;
-            ++live_lanes_;
-            lane.live = true;
-            lanes_cv_.notify_all();
-        }
-        if (serve_on(lane, *transport)) {
-            // Fleet shutdown: tell the worker to exit cleanly (EOF on
-            // transport destruction also works, so failures are
-            // ignorable).
+        std::unique_lock<std::mutex> lock(mutex_);
+        --pending_lanes_;
+        ++live_lanes_;
+        lane.live = true;
+        idle_.push_back(&lane);
+        idle_cv_.notify_one();
+        lanes_cv_.notify_all();
+        // Serving happens on the callers' threads; this one sleeps until
+        // a caller reports the worker dead or the fleet stops.
+        lane.wake.wait(lock, [&] { return stopping_ || !lane.live; });
+        if (lane.live) {
+            // Fleet shutdown with the lane idle: tell the worker to exit
+            // cleanly (EOF on transport destruction also works, so
+            // failures are ignorable).
+            lane.live = false;
+            --live_lanes_;
+            lock.unlock();
             try {
-                transport->send_message(wire::encode_shutdown());
+                lane.transport->send_message(wire::encode_shutdown());
             } catch (...) { // NOLINT(bugprone-empty-catch)
             }
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --live_lanes_;
-            lane.live = false;
-            lanes_cv_.notify_all();
             return;
         }
-        // The transport died mid-serve. Registered lanes drop out (their
-        // worker rejoins by dialing in again); factory lanes go back to
-        // the top and reconnect.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --live_lanes_;
-        lane.live = false;
+        // lane_died already moved the lane from live to pending.
+        // Registered lanes drop out (their worker rejoins by dialing in
+        // again); factory lanes go back to the top and reconnect.
+        lock.unlock();
+        lane.transport.reset();
+        lock.lock();
         if (lane.factory == nullptr || stopping_) {
+            --pending_lanes_;
             note_lane_gone_locked();
-            lanes_cv_.notify_all();
             return;
         }
-        ++pending_lanes_;
-        lanes_cv_.notify_all();
     }
 }
 
-bool worker_fleet::serve_on(lane_state& lane, wire_transport& transport) {
-    for (;;) {
-        span_job job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            queue_cv_.wait(lock,
-                           [&] { return stopping_ || !queue_.empty(); });
-            if (stopping_) {
-                return true;
-            }
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            space_cv_.notify_one();
-        }
-        std::vector<std::uint8_t> reply;
-        try {
-            // Send + receive as one unit: a lane never holds an unread
-            // reply for a batch it is not currently serving, so an
-            // aborted batch can never leak values into a later one.
-            transport.send_message(job.batch->requests[job.index]);
-            reply = transport.recv_message();
-        } catch (const transport_error& error) {
-            handle_lane_death(lane, std::move(job), error.what());
-            return false;
-        }
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++lane.completed;
-        }
-        job.batch->promises[job.index].set_value(std::move(reply));
+worker_fleet::lane_state* worker_fleet::checkout(bool wait) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (wait) {
+        idle_cv_.wait(lock, [&] {
+            return stopping_ || !idle_.empty() || no_lanes_locked();
+        });
     }
+    if (stopping_ || idle_.empty()) {
+        return nullptr;
+    }
+    lane_state* lane = idle_.front();
+    idle_.pop_front();
+    return lane;
 }
 
-void worker_fleet::handle_lane_death(const lane_state& lane, span_job job,
-                                     const std::string& why) {
+void worker_fleet::checkin(lane_state& lane) {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        last_lane_error_ = lane.label + ": " + why;
-        if (job.attempts == 0 && !stopping_) {
-            // THE span's one requeue: any live lane — possibly this one,
-            // reconnected — re-runs it. Deliberately not bounded by
-            // max_pending_spans: a lane blocking on its own requeue would
-            // deadlock the bound.
-            job.attempts = 1;
-            ++requeued_;
-            queue_.push_back(std::move(job));
-            queue_cv_.notify_one();
-            return;
-        }
+        idle_.push_back(&lane);
     }
-    job.batch->promises[job.index].set_exception(std::make_exception_ptr(
-        util::contract_error("fleet worker " + lane.label + " (samples [" +
-                             std::to_string(job.span.first) + ", " +
-                             std::to_string(job.span.first +
-                                            job.span.count) +
-                             ")) failed: worker died (requeue "
-                             "exhausted): " +
-                             why)));
+    // Wakes at most one waiting caller; lane threads wait on their own
+    // condition variables and never see this.
+    idle_cv_.notify_one();
 }
 
-void worker_fleet::run_spans(std::span<const shard_work> plan,
-                             std::vector<std::vector<std::uint8_t>> requests,
-                             std::size_t values_per_sample,
-                             std::span<double> out) {
+void worker_fleet::lane_died(lane_state& lane, const std::string& why) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last_lane_error_ = lane.label + ": " + why;
+    lane.live = false;
+    --live_lanes_;
+    ++pending_lanes_; // until its thread reconnects or drops it
+    lane.wake.notify_one();
+}
+
+void worker_fleet::run_spans(
+    std::span<const shard_work> plan,
+    std::span<const std::vector<std::uint8_t>> requests,
+    std::size_t values_per_sample, std::span<double> out) {
     QUORUM_EXPECTS_MSG(plan.size() == requests.size(),
                        "fleet: one request per planned span");
-    auto batch = std::make_shared<batch_state>();
-    batch->requests = std::move(requests);
-    batch->promises.resize(plan.size());
-    std::vector<std::future<std::vector<std::uint8_t>>> replies;
-    replies.reserve(plan.size());
-    for (std::promise<std::vector<std::uint8_t>>& p : batch->promises) {
-        replies.push_back(p.get_future());
-    }
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        space_cv_.wait(lock, [&] {
-            return stopping_ || no_lanes_locked() ||
-                   queue_.size() < config_.max_pending_spans;
-        });
-        QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
-        if (no_lanes_locked()) {
-            throw util::contract_error(no_workers_message_locked());
+    struct sent_span {
+        std::size_t index;
+        lane_state* lane;
+    };
+    std::deque<sent_span> in_flight; // oldest first
+    std::vector<std::size_t> resend; // requeued spans not yet re-sent
+    std::vector<bool> requeued(plan.size(), false);
+    std::size_t next = 0;
+    std::exception_ptr failure;
+
+    const auto has_unsent = [&] {
+        return failure == nullptr && (!resend.empty() || next < plan.size());
+    };
+    const auto take_unsent = [&] {
+        if (resend.empty()) {
+            return next++;
         }
-        queue_.push_back(span_job{batch, k, plan[k], 0});
-        queue_cv_.notify_one();
+        const std::size_t k = resend.back();
+        resend.pop_back();
+        return k;
+    };
+    // The span's lane died: requeue it ONCE onto any live lane; a second
+    // death fails the batch (a failing batch sends nothing more).
+    const auto requeue = [&](std::size_t k, lane_state& lane,
+                             const std::string& why) {
+        lane_died(lane, why);
+        if (failure != nullptr) {
+            return;
+        }
+        if (!requeued[k]) {
+            requeued[k] = true;
+            resend.push_back(k);
+            const std::lock_guard<std::mutex> lock(mutex_);
+            ++requeued_;
+            return;
+        }
+        failure = std::make_exception_ptr(
+            span_error("fleet worker " + lane.label, plan[k],
+                       "worker died (requeue exhausted): " + why));
+    };
+    const auto send = [&](std::size_t k, lane_state& lane) {
+        try {
+            lane.transport->send_message(requests[k]);
+            in_flight.push_back(sent_span{k, &lane});
+        } catch (const std::exception& error) {
+            requeue(k, lane, error.what());
+        }
+    };
+
+    for (;;) {
+        // Put every idle lane to work; block only while this batch holds
+        // no lane at all (it would otherwise read its own replies).
+        while (has_unsent()) {
+            lane_state* lane = checkout(in_flight.empty());
+            if (lane != nullptr) {
+                send(take_unsent(), *lane);
+            } else if (in_flight.empty()) {
+                throw span_error("fleet span", plan[take_unsent()],
+                                 no_workers_message());
+            } else {
+                break;
+            }
+        }
+        if (in_flight.empty()) {
+            break;
+        }
+        const sent_span oldest = in_flight.front();
+        in_flight.pop_front();
+        lane_state& lane = *oldest.lane;
+        std::vector<std::uint8_t> reply;
+        try {
+            reply = lane.transport->recv_message();
+        } catch (const std::exception& error) {
+            requeue(oldest.index, lane, error.what());
+            continue;
+        }
+        ++lane.completed;
+        if (failure == nullptr) {
+            try {
+                decode_result_into(reply, lane.label, plan[oldest.index],
+                                   values_per_sample, out);
+            } catch (...) {
+                failure = std::current_exception();
+            }
+        }
+        if (has_unsent()) {
+            send(take_unsent(), lane);
+        } else {
+            checkin(lane);
+        }
     }
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        const std::vector<std::uint8_t> reply = replies[k].get();
-        decode_result_into(reply, plan[k], values_per_sample, out);
+    if (failure != nullptr) {
+        std::rethrow_exception(failure);
     }
 }
 
@@ -366,9 +405,52 @@ fleet_executor::fleet_executor(std::shared_ptr<worker_fleet> fleet)
     probe_ = make_executor(config.inner, config.engine);
 }
 
-std::size_t fleet_executor::plan_lanes() const {
-    return std::clamp<std::size_t>(fleet_->lane_count(), 1,
-                                   sharded_backend::max_shards);
+fleet_executor::fleet_executor(const engine_config& config,
+                               const std::string& inner,
+                               transport_factory factory)
+    : fleet_executor(
+          std::make_shared<worker_fleet>(fleet_config{inner, config})) {
+    QUORUM_EXPECTS_MSG(static_cast<bool>(factory),
+                       "remote backend needs a transport factory");
+    spec_ = "remote:" + inner;
+    private_lanes_ = resolve_lane_count(config.shards, max_remote_workers);
+    factory_ = std::move(factory);
+}
+
+worker_fleet& fleet_executor::started_fleet() const {
+    if (private_lanes_ != 0) {
+        std::call_once(started_, [this] {
+            for (std::size_t i = 0; i < private_lanes_; ++i) {
+                fleet_->add_factory_lane(factory_,
+                                         "remote worker " + std::to_string(i));
+            }
+        });
+    }
+    return *fleet_;
+}
+
+std::size_t fleet_executor::worker_count() const {
+    const std::size_t owned = fleet_->owned_lanes();
+    return owned != 0 ? owned : private_lanes_;
+}
+
+void fleet_executor::dispatch(std::span<const std::uint8_t> blob,
+                              std::span<const sample> samples,
+                              std::size_t levels,
+                              std::span<double> out) const {
+    worker_fleet& fleet = started_fleet();
+    // Keyed by sample index only, exactly like the sharded plans, so
+    // scores are invariant to the fleet size and the schedule.
+    const std::vector<shard_work> plan = planner_.plan(
+        samples.size(), std::max<std::size_t>(worker_count(), 1));
+    std::vector<std::vector<std::uint8_t>> requests;
+    requests.reserve(plan.size());
+    for (const shard_work& span : plan) {
+        requests.push_back(wire::encode_span_request(
+            span, blob, samples.subspan(span.first, span.count), levels,
+            needs_rng_));
+    }
+    fleet.run_spans(plan, requests, std::max<std::size_t>(levels, 1), out);
 }
 
 void fleet_executor::run_batch(const program& prog,
@@ -380,17 +462,7 @@ void fleet_executor::run_batch(const program& prog,
     }
     wire::writer block;
     wire::encode_program(block, prog);
-    const std::vector<std::uint8_t> blob = block.take();
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), plan_lanes(), &prog);
-    std::vector<std::vector<std::uint8_t>> requests;
-    requests.reserve(plan.size());
-    for (const shard_work& span : plan) {
-        requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count), 0,
-            needs_rng_));
-    }
-    fleet_->run_spans(plan, std::move(requests), 1, out);
+    dispatch(block.take(), samples, 0, out);
 }
 
 void fleet_executor::run_batch_levels(std::span<const program> levels,
@@ -405,19 +477,7 @@ void fleet_executor::run_batch_levels(std::span<const program> levels,
     for (const program& level : levels) {
         wire::encode_program(block, level);
     }
-    const std::vector<std::uint8_t> blob = block.take();
-    // Keyed by sample index only, exactly like the sharded and remote
-    // plans, so fused evaluation composes with fleet-size invariance.
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), plan_lanes(), nullptr);
-    std::vector<std::vector<std::uint8_t>> requests;
-    requests.reserve(plan.size());
-    for (const shard_work& span : plan) {
-        requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count),
-            levels.size(), needs_rng_));
-    }
-    fleet_->run_spans(plan, std::move(requests), levels.size(), out);
+    dispatch(block.take(), samples, levels.size(), out);
 }
 
 } // namespace quorum::exec

@@ -1,15 +1,14 @@
 // Subprocess transport for the remote execution backend: spawns one
-// quorum_worker per lane over a Unix socketpair wired to the worker's
-// stdin/stdout, and frames wire messages as u32-little-endian length +
-// payload. This is the narrowest possible process transport — the
-// wire_transport interface it implements is what a TCP transport would
-// plug into later.
+// quorum_worker per fleet lane over a Unix socketpair wired to the
+// worker's stdin/stdout, and frames wire messages as u32-little-endian
+// length + payload. It implements the wire_transport seam of
+// exec/wire.h, as the TCP transport (exec/tcp_transport.h) does.
 #ifndef QUORUM_EXEC_PROCESS_TRANSPORT_H
 #define QUORUM_EXEC_PROCESS_TRANSPORT_H
 
 #include <string>
 
-#include "exec/remote_backend.h"
+#include "exec/wire.h"
 
 namespace quorum::exec {
 

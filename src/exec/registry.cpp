@@ -5,7 +5,8 @@
 #include <utility>
 
 #include "exec/density_backend.h"
-#include "exec/remote_backend.h"
+#include "exec/fleet.h"
+#include "exec/process_transport.h"
 #include "exec/sharded_backend.h"
 #include "exec/statevector_backend.h"
 #include "util/contracts.h"
@@ -24,6 +25,14 @@ registry_state& registry() {
     return state;
 }
 
+/// remote:<inner>: a fleet executor over a private fleet of spawned
+/// quorum_worker processes (none start before its first batch).
+std::unique_ptr<executor> make_remote(const engine_config& config,
+                                      const std::string& inner) {
+    return std::make_unique<fleet_executor>(config, inner,
+                                            process_transport_factory());
+}
+
 /// The built-ins register lazily on first registry access (explicitly, not
 /// via static initialisers, which a static-library link could drop).
 void ensure_builtins() {
@@ -40,8 +49,7 @@ void ensure_builtins() {
                 new sharded_backend(config, "statevector"));
         });
         register_backend("remote", [](const engine_config& config) {
-            return std::unique_ptr<executor>(
-                new remote_backend(config, "statevector"));
+            return make_remote(config, "statevector");
         });
         return true;
     }();
@@ -131,8 +139,7 @@ std::unique_ptr<executor> make_executor(std::string_view spec,
         // inner name is resolved through this registry, so unknown inners
         // throw the same known-names error as unknown base names).
         if (parsed.name == "remote") {
-            return std::unique_ptr<executor>(
-                new remote_backend(config, parsed.inner));
+            return make_remote(config, parsed.inner);
         }
         return std::unique_ptr<executor>(
             new sharded_backend(config, parsed.inner));

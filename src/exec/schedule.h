@@ -1,20 +1,20 @@
 // Span planning and dispatch policy — the ONE place batches are cut into
-// per-lane work spans. The sharded backend (in-process threads), the
-// remote backend (worker processes) and the serving fleet all plan
-// through span_planner instead of carrying private copies of the
-// partitioning logic.
+// per-lane work spans. The sharded backend (in-process threads) and the
+// worker fleet (worker processes: the remote backend and quorum_serve)
+// both plan through span_planner instead of carrying private copies of
+// the partitioning logic.
 //
 // Two policies:
 //
 //   static          — the even-span plan the backends have used since
 //                     PR 3: min(lanes, n) contiguous spans balanced to
 //                     within one sample, one span per lane.
-//   dynamic:<grain> — many small spans of ~`grain` samples each; lanes
-//                     PULL spans from a shared deterministic queue
-//                     (span_queue, or the thread pool's parallel_for
-//                     claim counter, or the fleet's job queue), so fast
-//                     lanes absorb skew instead of idling behind the
-//                     slowest span.
+//   dynamic:<grain> — many small spans of ~`grain` samples each, handed
+//                     out in plan order to whichever lane is free (the
+//                     thread pool's parallel_for claim counter, or the
+//                     fleet sending the next span on each lane it
+//                     frees), so fast lanes absorb skew instead of
+//                     idling behind the slowest span.
 //
 // Determinism: a plan is a pure function of (n_samples, lanes, grain) —
 // never of time, load or completion order — and every span writes its
@@ -26,10 +26,8 @@
 #ifndef QUORUM_EXEC_SCHEDULE_H
 #define QUORUM_EXEC_SCHEDULE_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,7 +64,7 @@ make_shard_plan(std::size_t n_samples, std::size_t shards,
 enum class schedule_policy {
     /// One balanced span per lane (make_shard_plan, bit-for-bit).
     static_spans,
-    /// ~grain-sample spans pulled from a shared queue.
+    /// ~grain-sample spans, each taken by whichever lane is free.
     dynamic_spans,
 };
 
@@ -122,39 +120,6 @@ public:
 
 private:
     schedule_spec spec_{};
-};
-
-/// The shared deterministic pull queue: lanes claim span indices in plan
-/// order with one atomic counter. Which LANE gets a span depends on
-/// timing; which SPANS exist and where their output lands does not —
-/// that is the whole determinism argument. (util::thread_pool::
-/// parallel_for uses the identical claim loop in-process; the remote
-/// backend's dynamic dispatch and tests use this one.)
-class span_queue {
-public:
-    explicit span_queue(std::size_t count) noexcept : count_(count) {}
-
-    /// Claims the next unclaimed span index, or nullopt when the plan is
-    /// drained (or the queue was closed). Thread-safe, lock-free.
-    [[nodiscard]] std::optional<std::size_t> pull() noexcept {
-        const std::size_t k =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        if (k >= count_) {
-            return std::nullopt;
-        }
-        return k;
-    }
-
-    /// Stops further pulls (first failure wins; siblings drain out).
-    void close() noexcept {
-        next_.store(count_, std::memory_order_relaxed);
-    }
-
-    [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
-private:
-    std::atomic<std::size_t> next_{0};
-    std::size_t count_ = 0;
 };
 
 } // namespace quorum::exec

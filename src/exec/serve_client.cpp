@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "exec/remote_backend.h"
+#include "exec/wire.h"
 #include "util/contracts.h"
 
 namespace quorum::exec {

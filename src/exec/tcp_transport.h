@@ -1,23 +1,22 @@
 // TCP transport for remote execution: the wire_transport seam
-// (exec/remote_backend.h) over a real socket instead of a socketpair to a
-// spawned child. Framing is identical to process_transport — u32
+// (exec/wire.h) over a real socket instead of a socketpair to a spawned
+// child. Framing is identical to process_transport — u32
 // little-endian length prefix + payload, max_message_bytes guard — so a
 // `quorum_worker --listen` on the other end of the network is
 // indistinguishable from one on the other end of a pipe.
 //
 // Every failure (refused connection, timeout, reset, mid-frame EOF)
 // surfaces as transport_error naming "host:port", which slots straight
-// into the existing fault model: the remote backend and the worker fleet
-// treat it as a worker death — restart/reconnect the lane, requeue the
-// span once — and their exhausted-requeue contract_errors carry the
-// endpoint through to the user.
+// into the worker fleet's fault model (exec/fleet.h): a worker death —
+// reconnect the lane, requeue the span once — whose exhausted-requeue
+// contract_errors carry the endpoint through to the user.
 #ifndef QUORUM_EXEC_TCP_TRANSPORT_H
 #define QUORUM_EXEC_TCP_TRANSPORT_H
 
 #include <string>
 #include <vector>
 
-#include "exec/remote_backend.h"
+#include "exec/wire.h"
 #include "util/net.h"
 
 namespace quorum::exec {

@@ -157,6 +157,23 @@ TEST(Config, ModeNames) {
     EXPECT_STREQ(exec_mode_name(exec_mode::noisy), "noisy");
 }
 
+TEST(Config, ParseExecModeRoundTripsEveryModeName) {
+    for (const exec_mode mode : {exec_mode::exact, exec_mode::sampled,
+                                 exec_mode::per_shot, exec_mode::noisy}) {
+        exec_mode parsed = mode == exec_mode::exact ? exec_mode::noisy
+                                                    : exec_mode::exact;
+        EXPECT_TRUE(parse_exec_mode(exec_mode_name(mode), parsed))
+            << exec_mode_name(mode);
+        EXPECT_EQ(parsed, mode) << exec_mode_name(mode);
+    }
+    // Strict: no case folding, no empty name; `out` is left untouched.
+    for (const char* bad : {"Sampled", "", "per-shot", "exact "}) {
+        exec_mode parsed = exec_mode::noisy;
+        EXPECT_FALSE(parse_exec_mode(bad, parsed)) << "'" << bad << "'";
+        EXPECT_EQ(parsed, exec_mode::noisy) << "'" << bad << "'";
+    }
+}
+
 
 TEST(Config, FeatureStrategyNames) {
     EXPECT_STREQ(feature_strategy_name(feature_strategy::uniform_random),

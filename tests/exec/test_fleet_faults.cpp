@@ -1,9 +1,10 @@
 // Worker-fleet fault suite: fleet-size invariance (scores IEEE == to the
 // plain backend for any lane count), the requeue-once fault model
 // (worker death mid-span → requeue + rejoin; second death → structured
-// error naming the lane and span), registered-lane drop/redial, the
-// no-workers structural failure, bounded-queue backpressure under
-// concurrent clients, and churn against REAL `quorum_worker` TCP
+// error naming the lane and span), error and garbled replies naming the
+// lane, failed batches reading every owed reply, registered-lane
+// drop/redial, the no-workers structural failure, concurrent clients
+// sharing the lanes, and churn against REAL `quorum_worker` TCP
 // processes (SIGKILL mid-use, restart, rejoin).
 //
 // In-process cases run the worker side inline (exec::worker_session
@@ -19,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -28,7 +30,6 @@
 
 #include "exec/fleet.h"
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
 #include "exec/serialise.h"
 #include "exec/tcp_transport.h"
 #include "qml/amplitude_encoding.h"
@@ -93,11 +94,23 @@ exec::program fleet_analytic_program(const qml::ansatz_params& params,
 
 /// Shared fault plan for the in-process fleet lanes: the next
 /// `kill_replies` SPAN replies (never handshake acks) are replaced by a
-/// thrown transport_error, simulating the worker dying mid-span.
+/// thrown transport_error, simulating the worker dying mid-span; the
+/// next `error_replies` / `garbage_replies` by a worker error reply /
+/// bytes that are no reply at all.
 struct fleet_fault_plan {
     std::atomic<int> kill_replies{0};
+    std::atomic<int> error_replies{0};
+    std::atomic<int> garbage_replies{0};
     std::atomic<int> constructed{0};
 };
+
+/// Spends one unit of an injection budget; false once it is used up.
+bool take(std::atomic<int>& budget) {
+    int left = budget.load();
+    while (left > 0 && !budget.compare_exchange_weak(left, left - 1)) {
+    }
+    return left > 0;
+}
 
 class fleet_loopback_transport : public exec::wire_transport {
 public:
@@ -119,11 +132,17 @@ public:
             reply[0] ==
                 static_cast<std::uint8_t>(exec::wire::message::hello_ack);
         if (plan_ != nullptr && !is_ack) {
-            if (plan_->kill_replies.fetch_sub(1) > 0) {
+            if (take(plan_->kill_replies)) {
                 throw exec::transport_error(
                     "injected: worker died mid-span");
             }
-            plan_->kill_replies.fetch_add(1);
+            if (take(plan_->error_replies)) {
+                return exec::wire::encode_error_reply(
+                    "injected: engine failure");
+            }
+            if (take(plan_->garbage_replies)) {
+                return {0x7C, 0xDE, 0xAD};
+            }
         }
         return reply;
     }
@@ -318,6 +337,70 @@ TEST(FleetFaults, SecondDeathIsAStructuredErrorNamingWorkerAndSpan) {
     EXPECT_EQ(fleet->requeued_spans(), 1u);
 }
 
+TEST(FleetFaults, SpanFailuresNameTheLaneAndTheSpan) {
+    // An error reply and a garbled reply are protocol failures, not
+    // deaths: no requeue, no reconnect, and each failure names the lane
+    // that sent the reply and the sample span.
+    const fleet_batch_fixture fixture(117, 6);
+    const exec::program program =
+        fleet_analytic_program(fixture.params, 1);
+    fleet_fault_plan plan;
+    const std::shared_ptr<exec::worker_fleet> fleet =
+        make_loopback_fleet(1, {}, &plan);
+    const exec::fleet_executor engine(fleet);
+    std::vector<double> out(fixture.amplitudes.size());
+    const std::pair<std::atomic<int>*, const char*> faults[] = {
+        {&plan.error_replies, "injected: engine failure"},
+        {&plan.garbage_replies, "unexpected reply type"}};
+    for (const auto& [budget, why] : faults) {
+        *budget = 1;
+        try {
+            engine.run_batch(program, fixture.make_samples(), out);
+            FAIL() << "expected contract_error";
+        } catch (const util::contract_error& error) {
+            EXPECT_NE(std::strstr(error.what(), "loopback #0"), nullptr)
+                << error.what();
+            EXPECT_NE(std::strstr(error.what(), "samples [0, 6)"), nullptr)
+                << error.what();
+            EXPECT_NE(std::strstr(error.what(), why), nullptr)
+                << error.what();
+        }
+    }
+    EXPECT_EQ(fleet->requeued_spans(), 0u);
+    EXPECT_EQ(plan.constructed.load(), 1);
+}
+
+TEST(FleetFaults, FailedBatchReadsEveryOwedReplyBeforeThrowing) {
+    // Two idle lanes: the batch sends both spans before it reads a
+    // reply. Span 0's reply is garbled, so the batch fails while span 1's
+    // reply is still owed. The fleet must read it before throwing — a
+    // follow-up batch over DIFFERENT samples would otherwise take that
+    // stale reply (right count, wrong values) as its own.
+    const fleet_batch_fixture failed(119);
+    const fleet_batch_fixture next(121);
+    const exec::program next_program =
+        fleet_analytic_program(next.params, 1);
+    std::vector<double> reference(next.amplitudes.size());
+    exec::make_executor("statevector", exec::engine_config{})
+        ->run_batch(next_program, next.make_samples(), reference);
+
+    fleet_fault_plan plan;
+    const std::shared_ptr<exec::worker_fleet> fleet =
+        make_loopback_fleet(2, {}, &plan);
+    const exec::fleet_executor engine(fleet);
+    plan.garbage_replies = 1;
+    std::vector<double> out(failed.amplitudes.size());
+    EXPECT_THROW(engine.run_batch(fleet_analytic_program(failed.params, 1),
+                                  failed.make_samples(), out),
+                 util::contract_error);
+    engine.run_batch(next_program, next.make_samples(), out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i], reference[i]) << i;
+    }
+    EXPECT_EQ(fleet->lane_count(), 2u); // no lane was reset
+    EXPECT_EQ(plan.constructed.load(), 2);
+}
+
 TEST(FleetFaults, RegisteredLaneDeathDropsTheLaneUntilItRedials) {
     // A registered lane (worker dialed in) has no factory: when it dies
     // the lane is gone and — with nobody else live — its requeued span
@@ -414,27 +497,22 @@ TEST(FleetFaults, ConfigRejectsNestingAndDegenerateBounds) {
     EXPECT_THROW(exec::worker_fleet{nested}, util::contract_error);
     nested.inner = "fleet";
     EXPECT_THROW(exec::worker_fleet{nested}, util::contract_error);
-    exec::fleet_config unbounded;
-    unbounded.max_pending_spans = 0;
-    EXPECT_THROW(exec::worker_fleet{unbounded}, util::contract_error);
     exec::fleet_config negative;
     negative.rejoin_attempts = -1;
     EXPECT_THROW(exec::worker_fleet{negative}, util::contract_error);
 }
 
-// --- concurrency + backpressure ---------------------------------------------
+// --- concurrency ------------------------------------------------------------
 
 TEST(FleetStress, ConcurrentClientsAreBitIdenticalToSequentialRuns) {
-    // Four client threads hammer ONE shared 2-lane fleet through a
-    // deliberately tiny queue bound (2), so submissions constantly block
-    // on backpressure while other batches are in flight. Every client's
-    // scores must equal its own sequential reference bit for bit, and
-    // the whole thing must drain without deadlock — the requeue-bypass
-    // rule is what makes the bound safe.
+    // Four client threads hammer ONE shared 2-lane fleet, so callers
+    // constantly wait for lanes other batches hold. Every client's scores
+    // must equal its own sequential reference bit for bit, and the whole
+    // thing must finish without deadlock — a caller blocks only while it
+    // holds no lane, which is what keeps lane checkout deadlock-free.
     exec::fleet_config config;
     config.engine.sampling_mode = exec::sampling::binomial;
     config.engine.shots = 256;
-    config.max_pending_spans = 2;
     const std::shared_ptr<exec::worker_fleet> fleet =
         make_loopback_fleet(2, config);
     const exec::fleet_executor engine(fleet);

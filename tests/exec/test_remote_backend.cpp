@@ -1,14 +1,16 @@
-// Remote-backend property suite: worker-count invariance (remote scores
-// IEEE == to the plain inner backend for any worker count, in every
-// mode), registry/spec handling, and the fault model — worker death is
-// restarted + requeued once, persistent death / malformed replies /
-// version mismatches surface as structured contract_errors naming the
-// worker and its sample span.
+// Remote-backend property suite: `remote:<inner>` is a fleet_executor
+// over a private worker fleet (exec/fleet.h). Worker-count invariance
+// (remote scores IEEE == to the plain inner backend for any worker
+// count, in every mode), registry/spec handling, and the fault model —
+// worker death is restarted + requeued once, persistent death /
+// malformed replies / version mismatches surface as structured
+// contract_errors naming the worker and its sample span.
 //
 // Most tests drive the protocol through IN-PROCESS transports (a
 // loopback that feeds exec::worker_session directly, and fault-injecting
 // wrappers around it), so every path runs under the sanitizer job; a few
 // spawn REAL quorum_worker processes via the build-tree binary.
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -23,7 +25,7 @@
 #include "core/config.h"
 #include "exec/process_transport.h"
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
+#include "exec/fleet.h"
 #include "exec/serialise.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
@@ -118,11 +120,8 @@ private:
     std::deque<std::vector<std::uint8_t>> replies_;
 };
 
-exec::transport_factory loopback_factory(int* constructed = nullptr) {
-    return [constructed](std::size_t) -> std::unique_ptr<exec::wire_transport> {
-        if (constructed != nullptr) {
-            ++*constructed;
-        }
+exec::transport_factory loopback_factory() {
+    return [](std::size_t) -> std::unique_ptr<exec::wire_transport> {
         return std::make_unique<loopback_transport>();
     };
 }
@@ -145,7 +144,7 @@ void expect_worker_invariant(const batch_fixture& fixture,
     }
     for (const std::size_t workers : worker_counts) {
         config.shards = workers;
-        const exec::remote_backend engine(config, inner,
+        const exec::fleet_executor engine(config, inner,
                                           loopback_factory());
         std::vector<util::rng> gens = fixture.make_gens(99);
         std::vector<double> out(fixture.amplitudes.size());
@@ -234,7 +233,7 @@ TEST(RemoteBackend, LevelFamiliesMatchTheInnerBackendBitForBit) {
     }
     for (const std::size_t workers : worker_counts) {
         config.shards = workers;
-        const exec::remote_backend engine(config, "statevector",
+        const exec::fleet_executor engine(config, "statevector",
                                           loopback_factory());
         make_level_gens(gens, ptrs);
         std::vector<exec::sample> batch = fixture.make_samples();
@@ -253,17 +252,19 @@ TEST(RemoteBackend, LevelFamiliesMatchTheInnerBackendBitForBit) {
 
 // --- fault injection --------------------------------------------------------
 
-/// Shared fault plan: which global recv call should throw (simulating
-/// the worker dying before its reply arrives), or whether replies should
-/// be replaced with garbage / a forged handshake.
+/// Shared fault plan: which span reply should be lost to a worker death
+/// (counted over all lanes, handshake acks excluded — lanes handshake on
+/// their own threads), or whether replies should be replaced with
+/// garbage / a forged handshake. Counters are atomic: lane threads and
+/// the calling thread both drive transports.
 struct fault_plan {
-    int recv_calls = 0;
-    int die_on_recv_call = 0; ///< 1-based global recv index; 0 = never
-    int garbage_on_recv_call = 0; ///< garble ONE reply by global index
+    std::atomic<int> span_replies{0};
+    int die_on_span_reply = 0;     ///< 1-based span reply index; 0 = never
+    int garbage_on_span_reply = 0; ///< garble ONE span reply by index
     bool die_always = false;
     bool forge_bad_version = false;
     bool garbage_replies = false;
-    int constructed = 0;
+    std::atomic<int> constructed{0};
 };
 
 class faulty_transport : public exec::wire_transport {
@@ -278,9 +279,7 @@ public:
     }
 
     [[nodiscard]] std::vector<std::uint8_t> recv_message() override {
-        ++plan_->recv_calls;
-        if (plan_->die_always ||
-            plan_->recv_calls == plan_->die_on_recv_call) {
+        if (plan_->die_always) {
             throw exec::transport_error("injected: worker died mid-span");
         }
         if (replies_.empty()) {
@@ -288,10 +287,11 @@ public:
         }
         std::vector<std::uint8_t> reply = std::move(replies_.front());
         replies_.pop_front();
-        if (plan_->forge_bad_version &&
+        const bool is_ack =
             !reply.empty() &&
             reply[0] ==
-                static_cast<std::uint8_t>(exec::wire::message::hello_ack)) {
+                static_cast<std::uint8_t>(exec::wire::message::hello_ack);
+        if (plan_->forge_bad_version && is_ack) {
             exec::wire::writer forged;
             forged.u8(
                 static_cast<std::uint8_t>(exec::wire::message::hello_ack));
@@ -299,11 +299,14 @@ public:
             forged.u32(exec::wire::protocol_version + 9);
             return forged.take();
         }
-        if ((plan_->garbage_replies ||
-             plan_->recv_calls == plan_->garbage_on_recv_call) &&
-            !reply.empty() &&
-            reply[0] !=
-                static_cast<std::uint8_t>(exec::wire::message::hello_ack)) {
+        if (is_ack) {
+            return reply;
+        }
+        const int index = ++plan_->span_replies;
+        if (index == plan_->die_on_span_reply) {
+            throw exec::transport_error("injected: worker died mid-span");
+        }
+        if (plan_->garbage_replies || index == plan_->garbage_on_span_reply) {
             return {0x7C, 0xDE, 0xAD};
         }
         return reply;
@@ -330,18 +333,20 @@ TEST(RemoteBackend, WorkerDeathIsRestartedAndTheSpanRequeued) {
                     fixture.make_samples(), reference);
 
     fault_plan plan;
-    // Recv order per worker: hello_ack (1, 2) then span replies (3, 4).
-    // Kill the first span reply: worker 0 dies mid-span, is restarted
-    // (fresh handshake) and its span is requeued — scores unharmed.
-    plan.die_on_recv_call = 3;
+    // Kill the first span reply: the worker dies mid-span, is restarted
+    // (fresh handshake) and its span is requeued — scores unharmed. One
+    // worker, so the requeued span can only run on the restarted lane
+    // and the restart count is exact (with more workers a live sibling
+    // may re-run it before the dead lane rejoins).
+    plan.die_on_span_reply = 1;
     exec::engine_config config;
-    config.shards = 2;
-    const exec::remote_backend engine(config, "statevector",
+    config.shards = 1;
+    const exec::fleet_executor engine(config, "statevector",
                                       faulty_factory(&plan));
     std::vector<double> out(fixture.amplitudes.size());
     engine.run_batch(analytic_program(fixture.params, 1),
                      fixture.make_samples(), out);
-    EXPECT_EQ(plan.constructed, 3); // 2 workers + 1 restart
+    EXPECT_EQ(plan.constructed.load(), 2); // 1 worker + 1 restart
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], reference[i]) << i;
     }
@@ -349,11 +354,14 @@ TEST(RemoteBackend, WorkerDeathIsRestartedAndTheSpanRequeued) {
 
 TEST(RemoteBackend, PersistentWorkerDeathIsAStructuredError) {
     const batch_fixture fixture(73, 6);
+    // Workers that can never start: every lane spends its rejoin budget
+    // and is abandoned, and the batch fails naming its span and the
+    // last lane failure.
     fault_plan plan;
     plan.die_always = true;
     exec::engine_config config;
     config.shards = 2;
-    const exec::remote_backend engine(config, "statevector",
+    const exec::fleet_executor engine(config, "statevector",
                                       faulty_factory(&plan));
     std::vector<double> out(fixture.amplitudes.size());
     try {
@@ -365,7 +373,7 @@ TEST(RemoteBackend, PersistentWorkerDeathIsAStructuredError) {
             << error.what();
         EXPECT_NE(std::strstr(error.what(), "samples ["), nullptr)
             << error.what();
-        EXPECT_NE(std::strstr(error.what(), "restart exhausted"), nullptr)
+        EXPECT_NE(std::strstr(error.what(), "no live workers"), nullptr)
             << error.what();
     }
 }
@@ -376,7 +384,7 @@ TEST(RemoteBackend, MalformedRepliesAreStructuredErrorsWithoutRetry) {
     plan.garbage_replies = true;
     exec::engine_config config;
     config.shards = 1;
-    const exec::remote_backend engine(config, "statevector",
+    const exec::fleet_executor engine(config, "statevector",
                                       faulty_factory(&plan));
     std::vector<double> out(fixture.amplitudes.size());
     try {
@@ -390,16 +398,15 @@ TEST(RemoteBackend, MalformedRepliesAreStructuredErrorsWithoutRetry) {
                   nullptr)
             << error.what();
     }
-    EXPECT_EQ(plan.constructed, 1); // protocol corruption: no restart
+    EXPECT_EQ(plan.constructed.load(), 1); // protocol corruption: no restart
 }
 
 TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
-    // With 2 workers, both spans are in flight when span 0's reply turns
-    // out garbled and the batch fails — worker 1's reply is still
-    // unread. The backend must reset the plan's lanes on failure, so a
-    // FOLLOW-UP batch gets fresh workers and correct values, not worker
-    // 1's stale batch-1 reply (which has the right count and would be
-    // accepted silently).
+    // With 2 workers, both spans may be in flight when span 0's reply
+    // turns out garbled and the batch fails — the other reply is still
+    // unread. The fleet reads every owed reply before it throws, so a
+    // FOLLOW-UP batch gets correct values, not a stale batch-1 reply
+    // (which has the right count and would be accepted silently).
     const batch_fixture fixture(85);
     std::vector<double> reference(fixture.amplitudes.size());
     exec::make_executor("statevector", exec::engine_config{})
@@ -407,11 +414,10 @@ TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
                     fixture.make_samples(), reference);
 
     fault_plan plan;
-    // Global recv order: hello_ack (1, 2), then span replies (3, 4).
-    plan.garbage_on_recv_call = 3;
+    plan.garbage_on_span_reply = 1;
     exec::engine_config config;
     config.shards = 2;
-    const exec::remote_backend engine(config, "statevector",
+    const exec::fleet_executor engine(config, "statevector",
                                       faulty_factory(&plan));
     std::vector<double> out(fixture.amplitudes.size(), -1.0);
     EXPECT_THROW(engine.run_batch(analytic_program(fixture.params, 1),
@@ -419,7 +425,6 @@ TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
                  util::contract_error);
     engine.run_batch(analytic_program(fixture.params, 1),
                      fixture.make_samples(), out);
-    EXPECT_EQ(plan.constructed, 4); // both lanes re-spawned after failure
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], reference[i]) << i;
     }
@@ -431,7 +436,7 @@ TEST(RemoteBackend, HandshakeVersionMismatchIsAStructuredError) {
     plan.forge_bad_version = true;
     exec::engine_config config;
     config.shards = 1;
-    const exec::remote_backend engine(config, "statevector",
+    const exec::fleet_executor engine(config, "statevector",
                                       faulty_factory(&plan));
     std::vector<double> out(fixture.amplitudes.size());
     try {
@@ -447,7 +452,7 @@ TEST(RemoteBackend, HandshakeVersionMismatchIsAStructuredError) {
 TEST(RemoteBackend, EmptyBatchesNeverTouchATransport) {
     exec::engine_config config;
     config.shards = 2;
-    const exec::remote_backend engine(
+    const exec::fleet_executor engine(
         config, "statevector",
         [](std::size_t) -> std::unique_ptr<exec::wire_transport> {
             ADD_FAILURE() << "no transport should be created";
@@ -495,19 +500,20 @@ TEST(RemoteBackend, RegistryResolvesRemoteSpecs) {
 TEST(RemoteBackend, WorkerCountResolvesAndClamps) {
     exec::engine_config config;
     config.shards = 3;
-    const exec::remote_backend engine(config, "statevector",
+    const exec::fleet_executor engine(config, "statevector",
                                       loopback_factory());
     EXPECT_EQ(engine.worker_count(), 3u);
 
     config.shards = 0;
-    const exec::remote_backend defaulted(config, "statevector",
+    const exec::fleet_executor defaulted(config, "statevector",
                                          loopback_factory());
     EXPECT_GE(defaulted.worker_count(), 1u);
 
     config.shards = std::numeric_limits<std::size_t>::max();
-    const exec::remote_backend clamped(config, "statevector",
+    const exec::fleet_executor clamped(config, "statevector",
                                        loopback_factory());
-    EXPECT_EQ(clamped.worker_count(), exec::remote_backend::max_workers);
+    EXPECT_EQ(clamped.worker_count(),
+              exec::fleet_executor::max_remote_workers);
 }
 
 TEST(RemoteBackend, ConfigResolvesRemoteAutoByMode) {
@@ -528,13 +534,13 @@ TEST(RemoteBackend, ConstructionValidatesTheInnerBackendLocally) {
     // per_shot is unsupported by the density engine: the local probe
     // rejects the pair at CONSTRUCTION (= config validation) time, no
     // worker involved.
-    EXPECT_THROW(exec::remote_backend(config, "density",
+    EXPECT_THROW(exec::fleet_executor(config, "density",
                                       loopback_factory()),
                  std::exception);
-    EXPECT_THROW(exec::remote_backend(exec::engine_config{}, "bogus",
+    EXPECT_THROW(exec::fleet_executor(exec::engine_config{}, "bogus",
                                       loopback_factory()),
                  util::contract_error);
-    EXPECT_THROW(exec::remote_backend(exec::engine_config{}, "remote",
+    EXPECT_THROW(exec::fleet_executor(exec::engine_config{}, "remote",
                                       loopback_factory()),
                  util::contract_error);
 }

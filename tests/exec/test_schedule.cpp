@@ -8,14 +8,13 @@
 // dispatch (requeue-once survives worker death with bit-identical
 // output).
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "data/dataset.h"
 #include "exec/fleet.h"
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
 #include "exec/schedule.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
@@ -313,37 +311,6 @@ TEST(Schedule, DynamicSpanCountIsCappedDeterministically) {
     EXPECT_EQ(covered, 10000u);
 }
 
-TEST(Schedule, SpanQueueHandsOutEachIndexExactlyOnce) {
-    exec::span_queue queue(97);
-    std::vector<std::vector<std::size_t>> claimed(4);
-    {
-        std::vector<std::thread> pullers;
-        for (std::size_t t = 0; t < claimed.size(); ++t) {
-            pullers.emplace_back([&queue, &mine = claimed[t]] {
-                while (const auto k = queue.pull()) {
-                    mine.push_back(*k);
-                }
-            });
-        }
-        for (std::thread& puller : pullers) {
-            puller.join();
-        }
-    }
-    std::set<std::size_t> all;
-    for (const auto& mine : claimed) {
-        all.insert(mine.begin(), mine.end());
-    }
-    EXPECT_EQ(all.size(), 97u); // every span claimed, none twice
-    EXPECT_EQ(*all.begin(), 0u);
-    EXPECT_EQ(*all.rbegin(), 96u);
-    EXPECT_FALSE(queue.pull().has_value()); // drained stays drained
-
-    exec::span_queue closed(5);
-    ASSERT_TRUE(closed.pull().has_value());
-    closed.close();
-    EXPECT_FALSE(closed.pull().has_value());
-}
-
 // --- policy invariance on every consumer ------------------------------------
 
 TEST(Schedule, ShardedScoresMatchStaticInEveryMode) {
@@ -379,7 +346,7 @@ TEST(Schedule, RemoteScoresMatchStaticInEveryMode) {
                       const mode_case& m, std::span<double> out) {
                 exec::engine_config cfg = config;
                 cfg.shards = 2;
-                const exec::remote_backend engine(cfg, m.inner,
+                const exec::fleet_executor engine(cfg, m.inner,
                                                   loopback_factory());
                 std::vector<util::rng> gens = fixture.make_gens(99);
                 engine.run_batch(
@@ -445,12 +412,13 @@ TEST(Schedule, ShardedLevelFamiliesMatchStaticBitForBit) {
 
 // --- fault model under dynamic dispatch -------------------------------------
 
-/// Transport whose Nth non-handshake recv throws once (a worker dying
-/// mid-span under dynamic dispatch).
+/// Transport whose Nth recv throws once (a worker dying mid-span under
+/// dynamic dispatch). Atomic: the lane thread (handshakes) and the
+/// calling thread (spans) both drive the transport.
 struct kill_plan {
-    int recv_calls = 0;
+    std::atomic<int> recv_calls{0};
     int die_on_recv_call = 0;
-    int constructed = 0;
+    std::atomic<int> constructed{0};
 };
 
 class killable_transport : public exec::wire_transport {
@@ -462,8 +430,7 @@ public:
     }
 
     [[nodiscard]] std::vector<std::uint8_t> recv_message() override {
-        ++plan_->recv_calls;
-        if (plan_->recv_calls == plan_->die_on_recv_call) {
+        if (++plan_->recv_calls == plan_->die_on_recv_call) {
             throw exec::transport_error("injected: worker died mid-span");
         }
         if (replies_.empty()) {
@@ -496,7 +463,7 @@ TEST(Schedule, RemoteDynamicSurvivesWorkerDeathWithIdenticalScores) {
     exec::engine_config config;
     config.shards = 1;
     config.schedule = exec::parse_schedule_spec("dynamic:4");
-    const exec::remote_backend engine(
+    const exec::fleet_executor engine(
         config, "statevector",
         [&plan](std::size_t) -> std::unique_ptr<exec::wire_transport> {
             ++plan.constructed;
@@ -505,7 +472,7 @@ TEST(Schedule, RemoteDynamicSurvivesWorkerDeathWithIdenticalScores) {
     std::vector<double> out(fixture.amplitudes.size());
     engine.run_batch(analytic_program(fixture.params, 1),
                      fixture.make_samples(), out);
-    EXPECT_EQ(plan.constructed, 2); // 1 worker + 1 restart
+    EXPECT_EQ(plan.constructed.load(), 2); // 1 worker + 1 restart
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], reference[i]) << i;
     }

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
+#include "exec/wire.h"
 #include "exec/serialise.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"

@@ -1,9 +1,10 @@
 // TCP transport property suite: endpoint parsing, framing over real
 // sockets (partial reads, truncation at every byte boundary, oversized
 // frames), the byte-pinned framed handshake, structured connect/timeout
-// errors naming host:port, and the remote backend running over
-// tcp_transport_factory against REAL `quorum_worker --listen` processes
-// with lane counts that round-robin over fewer workers.
+// errors naming host:port, and the remote backend (a fleet_executor over
+// a private worker fleet) running over tcp_transport_factory against
+// REAL `quorum_worker --listen` processes with lane counts that
+// round-robin over fewer workers.
 //
 // The in-process cases use AF_UNIX socketpairs adopted by the transport
 // (identical code path to a TCP fd), so the framing properties all run
@@ -24,7 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
+#include "exec/fleet.h"
 #include "exec/serialise.h"
 #include "exec/tcp_transport.h"
 #include "qml/amplitude_encoding.h"
@@ -441,7 +442,7 @@ TEST(TcpWorker, RemoteBackendOverTcpMatchesThePlainBackend) {
                                                    worker_b.where()};
     for (const std::size_t lanes : {1u, 2u, 4u}) {
         config.shards = lanes;
-        const exec::remote_backend engine(
+        const exec::fleet_executor engine(
             config, "statevector", exec::tcp_transport_factory(endpoints));
         std::vector<util::rng> gens = fixture.make_gens(7);
         std::vector<double> out(fixture.amplitudes.size());
@@ -468,7 +469,7 @@ TEST(TcpWorker, ListenWorkerOutlivesItsClients) {
     listen_worker worker;
     config.shards = 1;
     for (int round = 0; round < 3; ++round) {
-        const exec::remote_backend engine(
+        const exec::fleet_executor engine(
             config, "statevector",
             exec::tcp_transport_factory({worker.where()}));
         std::vector<double> out(fixture.amplitudes.size());
@@ -504,15 +505,15 @@ TEST(TcpWorker, ForgedProtocolVersionIsRejectedOverTcp) {
 }
 
 TEST(TcpWorker, DeadWorkerMidSpanSurfacesThroughTheFaultModel) {
-    // SIGKILL the only worker once a connection is up: the next exchange
-    // hits a reset/EOF, the remote backend retries through the factory,
-    // the reconnect is refused, and the failure surfaces as the fault
-    // model's structured contract_error naming the lane and span.
+    // SIGKILL the only worker before the first batch: the lane's connect
+    // is refused through its whole rejoin budget, and the failure
+    // surfaces as the fault model's structured contract_error naming the
+    // lane and span.
     const tcp_batch_fixture fixture(95, 4);
     exec::engine_config config;
     config.shards = 1;
     listen_worker worker;
-    const exec::remote_backend engine(
+    const exec::fleet_executor engine(
         config, "statevector",
         exec::tcp_transport_factory({worker.where()}));
     worker.kill_now();

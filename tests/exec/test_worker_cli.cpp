@@ -1,8 +1,10 @@
-// quorum_worker flag-parsing regression tests, against the REAL binary.
-// The bug of record: --retry/--retry-delay-ms went through std::atoi,
-// so "--retry banana" silently became 0 retries and "--retry -1"
-// slipped past as a negative. Both must now be usage errors (exit 2)
-// with a diagnostic naming the flag.
+// Tool flag-parsing regression tests, against the REAL binaries.
+// The bug of record: quorum_worker's --retry/--retry-delay-ms went
+// through std::atoi, so "--retry banana" silently became 0 retries and
+// "--retry -1" slipped past as a negative. Both must now be usage errors
+// (exit 2) with a diagnostic naming the flag. The ToolCli cases pin the
+// flags quorum_cli, quorum_stream and quorum_serve share (one
+// core::parse_exec_mode) and the options they no longer take.
 #ifdef QUORUM_WORKER_BIN
 
 #include <fcntl.h>
@@ -16,9 +18,9 @@
 
 namespace {
 
-/// Runs the worker binary with the given arguments, stdout/stderr to
-/// /dev/null, and returns its exit code (-1 on spawn trouble).
-int run_worker(const std::vector<std::string>& args) {
+/// Runs `binary` with the given arguments, stdout/stderr to /dev/null,
+/// and returns its exit code (-1 on spawn trouble).
+int run_tool(const char* binary, const std::vector<std::string>& args) {
     const pid_t pid = ::fork();
     if (pid == 0) {
         const int null_fd = ::open("/dev/null", O_RDWR);
@@ -29,12 +31,12 @@ int run_worker(const std::vector<std::string>& args) {
             ::close(null_fd);
         }
         std::vector<char*> argv;
-        argv.push_back(const_cast<char*>(QUORUM_WORKER_BIN));
+        argv.push_back(const_cast<char*>(binary));
         for (const std::string& arg : args) {
             argv.push_back(const_cast<char*>(arg.c_str()));
         }
         argv.push_back(nullptr);
-        ::execv(QUORUM_WORKER_BIN, argv.data());
+        ::execv(binary, argv.data());
         ::_exit(127);
     }
     int status = 0;
@@ -43,6 +45,10 @@ int run_worker(const std::vector<std::string>& args) {
         return -1;
     }
     return WEXITSTATUS(status);
+}
+
+int run_worker(const std::vector<std::string>& args) {
+    return run_tool(QUORUM_WORKER_BIN, args);
 }
 
 TEST(WorkerCli, VersionAndHelpExitCleanly) {
@@ -75,6 +81,26 @@ TEST(WorkerCli, RejectsUnknownOptionsAndConflictingModes) {
                           "127.0.0.1:1"}),
               2);
 }
+
+#if defined(QUORUM_CLI_BIN) && defined(QUORUM_STREAM_BIN) && \
+    defined(QUORUM_SERVE_BIN)
+
+TEST(ToolCli, UnknownModeIsAUsageErrorInEveryTool) {
+    for (const char* tool :
+         {QUORUM_CLI_BIN, QUORUM_STREAM_BIN, QUORUM_SERVE_BIN}) {
+        EXPECT_EQ(run_tool(tool, {"--mode", "bogus"}), 2) << tool;
+        EXPECT_EQ(run_tool(tool, {"--mode", "Sampled"}), 2) << tool;
+        EXPECT_EQ(run_tool(tool, {"--mode"}), 2) << tool;
+    }
+}
+
+TEST(ToolCli, ServeNoLongerTakesAQueueBound) {
+    // The fleet sends spans from the calling thread: no queue is left to
+    // bound, so --max-queue is an unknown option.
+    EXPECT_EQ(run_tool(QUORUM_SERVE_BIN, {"--max-queue", "4"}), 2);
+}
+
+#endif
 
 } // namespace
 

@@ -54,7 +54,7 @@
 #include "data/csv.h"
 #include "data/generators.h"
 #include "exec/registry.h"
-#include "exec/remote_backend.h"
+#include "exec/fleet.h"
 #include "exec/schedule.h"
 #include "exec/sharded_backend.h"
 #include "metrics/confusion.h"
@@ -109,26 +109,10 @@ void print_usage() {
 
 // Strict flag parsing (whole string consumed, range checked, no silent
 // wraparound) lives in util/parse.h, shared with quorum_worker and
-// quorum_serve.
+// quorum_serve; mode names parse through core::parse_exec_mode.
 using quorum::util::parse_count;
 using quorum::util::parse_int;
 using quorum::util::parse_real;
-
-bool parse_mode(const std::string& text, quorum::core::exec_mode& mode) {
-    using quorum::core::exec_mode;
-    if (text == "exact") {
-        mode = exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = exec_mode::noisy;
-    } else {
-        return false;
-    }
-    return true;
-}
 
 bool parse_arguments(int argc, char** argv, cli_options& options) {
     options.config.ensemble_groups = 300;
@@ -241,7 +225,8 @@ bool parse_arguments(int argc, char** argv, cli_options& options) {
             }
         } else if (arg == "--mode") {
             const char* v = next();
-            if (v == nullptr || !parse_mode(v, options.config.mode)) {
+            if (v == nullptr ||
+                !quorum::core::parse_exec_mode(v, options.config.mode)) {
                 std::cerr << "unknown mode\n";
                 return false;
             }
@@ -335,7 +320,7 @@ int main(int argc, char** argv) {
             std::cout << " workers="
                       << exec::resolve_lane_count(
                              options.config.shards,
-                             exec::remote_backend::max_workers);
+                             exec::fleet_executor::max_remote_workers);
         }
         if (options.config.schedule != "static") {
             // Echo the parsed canonical form (e.g. bare "dynamic" shows

@@ -10,12 +10,13 @@
 //
 // Every client request builds a detector over the shared fleet backend
 // and scores in the requested configuration; concurrent requests
-// multiplex their sample spans through the fleet's bounded queue. Scores
-// are IEEE == to a local run with the same configuration: the wire
-// protocol ships bit patterns, the text protocol ships %.17g, and
-// neither loses a bit. A client that disconnects mid-batch costs the
-// fleet nothing — its spans drain, the handler notices on reply, and
-// every other client is unaffected.
+// multiplex their sample spans across the fleet's lanes, each request's
+// scoring threads sending and reading their own spans. Scores are
+// IEEE == to a local run with the same configuration: the wire protocol
+// ships bit patterns, the text protocol ships %.17g, and neither loses a
+// bit. A client that disconnects mid-batch costs the fleet nothing — its
+// batches finish, the handler notices on reply, and every other client
+// is unaffected.
 //
 // stdout carries exactly three parseable startup lines (registry
 // address, worker count, serving address); logs go to stderr.
@@ -59,7 +60,6 @@ struct serve_options {
     std::size_t workers = 2;         ///< locally spawned fleet workers
     std::vector<util::endpoint> connect_workers; ///< --listen workers
     std::string backend = "auto";
-    std::size_t max_queue = 64;
     int rejoin_attempts = 5;
     std::size_t max_requests = 0; ///< 0 = serve forever
     core::quorum_config config;
@@ -101,8 +101,6 @@ void print_usage() {
         "  --threads N           ensemble threads per request (default\n"
         "                        all cores)\n"
         "  --seed S              master seed (default 2025)\n"
-        "  --max-queue N         pending-span backpressure bound\n"
-        "                        (default 64)\n"
         "  --rejoin-attempts N   reconnect budget per worker death\n"
         "                        (default 5)\n"
         "  --max-requests N      exit after N scored requests (default\n"
@@ -123,21 +121,6 @@ bool parse_count(const char* text, std::size_t& value) {
 
 bool parse_real(const char* text, double& value) {
     return text != nullptr && util::parse_real(text, value);
-}
-
-bool parse_mode(const std::string& text, core::exec_mode& mode) {
-    if (text == "exact") {
-        mode = core::exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = core::exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = core::exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = core::exec_mode::noisy;
-    } else {
-        return false;
-    }
-    return true;
 }
 
 bool parse_port(const char* text, std::uint16_t& port) {
@@ -289,8 +272,8 @@ void handle_client(util::unique_fd fd, serve_state& state) {
             }
         }
     } catch (const std::exception& error) {
-        // The client vanished (mid-request or mid-reply). Its spans have
-        // already drained through the fleet; nobody else is affected.
+        // The client vanished (mid-request or mid-reply). Its batches
+        // have already finished in the fleet; nobody else is affected.
         std::fprintf(stderr,
                      "quorum_serve: client connection ended: %s\n",
                      error.what());
@@ -308,7 +291,6 @@ int run(const serve_options& options) {
     exec::fleet_config fleet_config;
     fleet_config.inner = inner;
     fleet_config.engine = options.config.to_engine_config();
-    fleet_config.max_pending_spans = options.max_queue;
     fleet_config.rejoin_attempts = options.rejoin_attempts;
     auto fleet = std::make_shared<exec::worker_fleet>(fleet_config);
     // The detector resolves backends by registry name, so the shared
@@ -471,7 +453,7 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--mode") {
             ok = value != nullptr &&
-                 parse_mode(next(), options.config.mode);
+                 core::parse_exec_mode(next(), options.config.mode);
         } else if (arg == "--encoding") {
             ok = value != nullptr &&
                  qml::parse_encoding(next(), options.config.encoding);
@@ -498,9 +480,6 @@ int main(int argc, char** argv) {
             std::size_t seed = 0;
             ok = value != nullptr && parse_count(next(), seed);
             options.config.seed = seed;
-        } else if (arg == "--max-queue") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.max_queue);
         } else if (arg == "--rejoin-attempts") {
             ok = value != nullptr &&
                  util::parse_count(next(), options.rejoin_attempts);

@@ -108,22 +108,6 @@ using quorum::util::parse_count;
 using quorum::util::parse_int;
 using quorum::util::parse_real;
 
-bool parse_mode(const std::string& text, quorum::core::exec_mode& mode) {
-    using quorum::core::exec_mode;
-    if (text == "exact") {
-        mode = exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = exec_mode::noisy;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 bool parse_arguments(int argc, char** argv, cli_options& options) {
     options.config.detector.ensemble_groups = 32;
     options.config.detector.mode = quorum::core::exec_mode::sampled;
@@ -260,7 +244,8 @@ bool parse_arguments(int argc, char** argv, cli_options& options) {
         } else if (arg == "--mode") {
             const char* v = next();
             if (v == nullptr ||
-                !parse_mode(v, options.config.detector.mode)) {
+                !quorum::core::parse_exec_mode(
+                    v, options.config.detector.mode)) {
                 std::cerr << "unknown mode\n";
                 return false;
             }

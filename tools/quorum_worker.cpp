@@ -30,7 +30,7 @@
 
 #include <unistd.h>
 
-#include "exec/remote_backend.h"
+#include "exec/wire.h"
 #include "exec/serialise.h"
 #include "util/contracts.h"
 #include "util/net.h"
