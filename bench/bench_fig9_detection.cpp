@@ -7,8 +7,10 @@
 // within the top 20%; noisy curves closely track noiseless ones.
 //
 // Cost note: the noisy backend evolves a 128x128 density matrix through
-// ~200 basis gates per circuit, so the noisy pass runs on a row subsample
-// with its own group count. Three rows print per dataset:
+// ~235 basis gates per circuit, one fused gate-and-channel sweep each on
+// AVX2 hosts (qsim/kernels.h; ~5 ms per circuit on a 4-vCPU Xeon VM, see
+// bm_noisy_density_circuit), so the noisy pass still runs on a row
+// subsample with its own group count. Three rows print per dataset:
 //   noiseless      — full dataset, full ensemble (the paper's curve);
 //   noiseless-sub  — the noisy pass's subsample and group count, but
 //                    noise-free (the apples-to-apples comparator);

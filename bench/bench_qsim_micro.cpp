@@ -1,7 +1,8 @@
 // Microbenchmarks of the simulator substrate (google-benchmark): the cost
 // model behind every figure bench. Covers state-vector kernels, the
-// density-matrix noisy step, state-prep synthesis, SWAP-test evaluation,
-// the full 7-qubit Quorum circuit, and transpilation.
+// density-matrix channel kernels and noisy circuit, state-prep synthesis,
+// SWAP-test evaluation, the full 7-qubit Quorum circuit, and
+// transpilation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -9,6 +10,7 @@
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
 #include "qsim/bit_ops.h"
+#include "qsim/density_matrix.h"
 #include "qsim/density_runner.h"
 #include "qsim/kernels.h"
 #include "qsim/statevector_runner.h"
@@ -130,6 +132,89 @@ void bm_kernel_block4_simd(benchmark::State& state) {
     run_kernel_block4_bench(state, kernels::active_isa());
 }
 BENCHMARK(bm_kernel_block4_simd)->Arg(3)->Arg(7)->Apply(extended_sizes);
+
+// ---- density channel benches: multi-pass reference vs dispatched ----
+// One noisy basis gate with its Brisbane channels on a dense 7-qubit
+// (128x128) density matrix — the Quorum circuit's width. *_reference
+// takes density_matrix::apply_noisy_gate (apply_gate -> depolarize ->
+// apply_thermal per operand, the bit-exactness oracle); *_dispatched
+// takes the runner's entry point (apply_1q_channel / apply_cx_channel),
+// which is one fused kernel sweep on AVX2 hosts and the reference path
+// elsewhere. Every 256 steps the state is restored, so repeated damping
+// never reaches subnormals.
+
+void run_density_bench(benchmark::State& state, gate_kind kind,
+                       bool dispatched) {
+    const std::size_t n = 7;
+    util::rng gen(17);
+    statevector psi(n);
+    for (qubit_t q = 0; q < n; ++q) {
+        const qubit_t operand[] = {q};
+        const double theta[] = {gen.angle()};
+        psi.apply_gate(gate_kind::ry, operand, theta);
+        psi.apply_gate(gate_kind::rz, operand, theta);
+    }
+    const density_matrix initial = density_matrix::from_statevector(psi);
+    const noise_model noise = noise_model::ibm_brisbane_median();
+    const auto thermal = noise.thermal_coefficients(noise.duration_ns(kind));
+    const kernels::density_channels channels{noise.depolarizing_param(kind),
+                                             thermal.gamma, thermal.lambda};
+    std::vector<qubit_t> qubits = {3};
+    std::vector<double> params;
+    if (kind == gate_kind::cx) {
+        qubits = {1, 5};
+    }
+    if (kind == gate_kind::rz) {
+        params = {0.7};
+    }
+    density_matrix rho = initial;
+    std::size_t step = 0;
+    for (auto _ : state) {
+        if (++step % 256 == 0) {
+            rho = initial;
+        }
+        if (!dispatched) {
+            rho.apply_noisy_gate(kind, qubits, params, channels);
+        } else if (kind == gate_kind::cx) {
+            rho.apply_cx_channel(qubits[0], qubits[1], channels);
+        } else {
+            rho.apply_1q_channel(kind, qubits[0], params, channels);
+        }
+        benchmark::DoNotOptimize(rho.elements().data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rho.elements().size()));
+}
+
+void bm_density_rz_reference(benchmark::State& state) {
+    run_density_bench(state, gate_kind::rz, false);
+}
+BENCHMARK(bm_density_rz_reference);
+
+void bm_density_rz_dispatched(benchmark::State& state) {
+    run_density_bench(state, gate_kind::rz, true);
+}
+BENCHMARK(bm_density_rz_dispatched);
+
+void bm_density_sx_reference(benchmark::State& state) {
+    run_density_bench(state, gate_kind::sx, false);
+}
+BENCHMARK(bm_density_sx_reference);
+
+void bm_density_sx_dispatched(benchmark::State& state) {
+    run_density_bench(state, gate_kind::sx, true);
+}
+BENCHMARK(bm_density_sx_dispatched);
+
+void bm_density_cx_reference(benchmark::State& state) {
+    run_density_bench(state, gate_kind::cx, false);
+}
+BENCHMARK(bm_density_cx_reference);
+
+void bm_density_cx_dispatched(benchmark::State& state) {
+    run_density_bench(state, gate_kind::cx, true);
+}
+BENCHMARK(bm_density_cx_dispatched);
 
 void bm_state_prep_synthesis(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

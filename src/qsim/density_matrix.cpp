@@ -27,6 +27,26 @@ density_matrix density_matrix::from_statevector(const statevector& state) {
     return rho;
 }
 
+density_matrix density_matrix::from_elements(std::size_t num_qubits,
+                                             std::span<const amp> elements) {
+    density_matrix rho(num_qubits);
+    QUORUM_EXPECTS_MSG(elements.size() == rho.data_.size(),
+                       "density matrix needs 4^n elements");
+    std::copy(elements.begin(), elements.end(), rho.data_.begin());
+    return rho;
+}
+
+void density_matrix::expect_operands(std::span<const qubit_t> qubits) const {
+    for (std::size_t i = 0; i < qubits.size(); ++i) {
+        QUORUM_EXPECTS_MSG(qubits[i] < num_qubits_,
+                           "density matrix operand out of range");
+        for (std::size_t j = 0; j < i; ++j) {
+            QUORUM_EXPECTS_MSG(qubits[i] != qubits[j],
+                               "density matrix operands must be distinct");
+        }
+    }
+}
+
 amp density_matrix::element(std::size_t row, std::size_t col) const {
     QUORUM_EXPECTS(row < dim_ && col < dim_);
     return data_[row * dim_ + col];
@@ -88,6 +108,7 @@ void density_matrix::apply_matrix(const util::cmatrix& m,
 void density_matrix::apply_gate(gate_kind kind, std::span<const qubit_t> qubits,
                                 std::span<const double> params) {
     if (kind == gate_kind::cx) {
+        QUORUM_EXPECTS(qubits.size() == 2);
         apply_cx_fast(qubits[0], qubits[1]);
         return;
     }
@@ -103,13 +124,14 @@ void density_matrix::apply_1q_fast(const util::cmatrix& m, qubit_t q) {
     const std::size_t step = std::size_t{1} << q;
     if (m01 == amp{} && m10 == amp{}) {
         // Diagonal gate (rz and friends): single elementwise pass,
-        // rho_rc *= d_r * conj(d_c).
-        const std::size_t mask = step;
+        // rho_rc *= d_r * conj(d_c), the four factors formed once.
+        const amp factor[2][2] = {{m00 * std::conj(m00), m00 * std::conj(m11)},
+                                  {m11 * std::conj(m00), m11 * std::conj(m11)}};
         for (std::size_t r = 0; r < dim_; ++r) {
-            const amp row_factor = (r & mask) ? m11 : m00;
+            const amp* row_factor = factor[(r & step) != 0 ? 1 : 0];
             amp* row = data_.data() + r * dim_;
             for (std::size_t c = 0; c < dim_; ++c) {
-                row[c] *= row_factor * std::conj((c & mask) ? m11 : m00);
+                row[c] *= row_factor[(c & step) != 0 ? 1 : 0];
             }
         }
         return;
@@ -214,6 +236,56 @@ void density_matrix::apply_thermal(qubit_t q, double gamma, double lambda) {
     }
 }
 
+void density_matrix::apply_noisy_gate(gate_kind kind,
+                                      std::span<const qubit_t> qubits,
+                                      std::span<const double> params,
+                                      const kernels::density_channels& noise) {
+    apply_gate(kind, qubits, params);
+    if (noise.p > 0.0) {
+        depolarize(qubits, noise.p);
+    }
+    if (noise.gamma > 0.0 || noise.lambda > 0.0) {
+        for (const qubit_t q : qubits) {
+            apply_thermal(q, noise.gamma, noise.lambda);
+        }
+    }
+}
+
+namespace {
+
+void expect_channels(const kernels::density_channels& noise) {
+    QUORUM_EXPECTS(noise.p >= 0.0 && noise.p <= 1.0);
+    QUORUM_EXPECTS(noise.gamma >= 0.0 && noise.gamma <= 1.0);
+    QUORUM_EXPECTS(noise.lambda >= 0.0 && noise.lambda <= 1.0);
+}
+
+} // namespace
+
+void density_matrix::apply_1q_channel(gate_kind kind, qubit_t q,
+                                      std::span<const double> params,
+                                      const kernels::density_channels& noise) {
+    QUORUM_EXPECTS(gate_arity(kind) == 1);
+    const qubit_t operand[] = {q};
+    expect_operands(operand);
+    expect_channels(noise);
+    const util::cmatrix u = gate_matrix(kind, params);
+    if (!kernels::density_1q(data_.data(), num_qubits_, u.data().data(), q,
+                             noise)) {
+        apply_noisy_gate(kind, operand, params, noise);
+    }
+}
+
+void density_matrix::apply_cx_channel(qubit_t control, qubit_t target,
+                                      const kernels::density_channels& noise) {
+    const qubit_t operands[] = {control, target};
+    expect_operands(operands);
+    expect_channels(noise);
+    if (!kernels::density_cx(data_.data(), num_qubits_, control, target,
+                             noise)) {
+        apply_noisy_gate(gate_kind::cx, operands, {}, noise);
+    }
+}
+
 void density_matrix::apply_kraus(std::span<const util::cmatrix> kraus_ops,
                                  std::span<const qubit_t> qubits) {
     QUORUM_EXPECTS(!kraus_ops.empty());
@@ -230,6 +302,7 @@ void density_matrix::apply_kraus(std::span<const util::cmatrix> kraus_ops,
 }
 
 void density_matrix::depolarize(std::span<const qubit_t> qubits, double p) {
+    expect_operands(qubits);
     QUORUM_EXPECTS(p >= 0.0 && p <= 1.0);
     if (p == 0.0) {
         return;
@@ -349,13 +422,11 @@ double density_matrix::purity() const {
 
 density_matrix density_matrix::partial_trace(
     std::span<const qubit_t> qubits) const {
+    expect_operands(qubits);
     const std::size_t k = qubits.size();
     QUORUM_EXPECTS(k < num_qubits_);
     std::vector<qubit_t> sorted(qubits.begin(), qubits.end());
     std::sort(sorted.begin(), sorted.end());
-    QUORUM_EXPECTS_MSG(
-        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-        "partial trace qubits must be distinct");
 
     density_matrix reduced(num_qubits_ - k);
     std::fill(reduced.data_.begin(), reduced.data_.end(), amp{});
@@ -378,6 +449,7 @@ density_matrix density_matrix::partial_trace(
 
 void density_matrix::initialize_register(std::span<const qubit_t> qubits,
                                          std::span<const amp> amplitudes) {
+    expect_operands(qubits);
     const std::size_t k = qubits.size();
     QUORUM_EXPECTS(amplitudes.size() == (std::size_t{1} << k));
     const std::size_t mask = make_mask(qubits);

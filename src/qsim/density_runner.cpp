@@ -42,19 +42,19 @@ void density_runner::apply_lowered_ops(noisy_run_result& result,
         case op_kind::initialize:
             throw util::contract_error("initialize survived transpilation");
         case op_kind::gate: {
-            result.state.apply_gate(op.gate, op.qubits, op.params);
-            const double p = noise.depolarizing_param(op.gate);
-            if (p > 0.0) {
-                result.state.depolarize(op.qubits, p);
-            }
             const auto thermal =
                 noise.thermal_coefficients(noise.duration_ns(op.gate));
-            if (thermal.gamma > 0.0 || thermal.lambda > 0.0) {
-                for (const qubit_t q : op.qubits) {
-                    result.state.apply_thermal(q, thermal.gamma,
-                                               thermal.lambda);
-                }
+            const kernels::density_channels channels{
+                noise.depolarizing_param(op.gate), thermal.gamma,
+                thermal.lambda};
+            if (gate_arity(op.gate) == 1) {
+                result.state.apply_1q_channel(op.gate, op.qubits[0], op.params,
+                                              channels);
+                break;
             }
+            QUORUM_EXPECTS_MSG(op.gate == gate_kind::cx,
+                               "density runner needs hardware-basis gates");
+            result.state.apply_cx_channel(op.qubits[0], op.qubits[1], channels);
             break;
         }
         case op_kind::reset:

@@ -46,7 +46,8 @@ public:
     /// incremental seam for callers that cache a shared evolution prefix
     /// across related circuits: run_lowered(c) == fresh state +
     /// apply_lowered_ops(state, c, 0, c.ops().size()). No basis check —
-    /// the caller validates the circuit once.
+    /// the caller validates the circuit once; a gate on two or more
+    /// qubits other than cx throws contract_error.
     static void apply_lowered_ops(noisy_run_result& state,
                                   const circuit& lowered, std::size_t first,
                                   std::size_t last, const noise_model& noise);

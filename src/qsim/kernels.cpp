@@ -4,6 +4,7 @@
 // targets whose baseline ISA has fused multiply-add.
 #include "qsim/kernels.h"
 
+#include <complex>
 #include <cstdlib>
 
 #include "qsim/bit_ops.h"
@@ -154,6 +155,50 @@ void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
 void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
               double scale) {
     collapse(data, n_qubits, q, outcome, scale, active_isa());
+}
+
+bool density_1q(amp* rho, std::size_t n_qubits, const amp* u, qubit_t q,
+                const density_channels& noise, isa which) {
+#ifdef QUORUM_HAVE_AVX2_KERNELS
+    if (which == isa::avx2 && n_qubits >= 2) {
+        // The diagonal gate's factors d_r * conj(d_c), formed here: in the
+        // AVX2 TU the compiler may turn a std::complex product into a
+        // fused vfmaddsub despite -ffp-contract=off.
+        const amp factor[4] = {u[0] * std::conj(u[0]), u[0] * std::conj(u[3]),
+                               u[3] * std::conj(u[0]), u[3] * std::conj(u[3])};
+        detail::density_1q_avx2(rho, std::size_t{1} << n_qubits, u, factor, q,
+                                noise);
+        return true;
+    }
+#else
+    (void)rho, (void)n_qubits, (void)u, (void)q, (void)noise, (void)which;
+#endif
+    return false;
+}
+
+bool density_1q(amp* rho, std::size_t n_qubits, const amp* u, qubit_t q,
+                const density_channels& noise) {
+    return density_1q(rho, n_qubits, u, q, noise, active_isa());
+}
+
+bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control, qubit_t target,
+                const density_channels& noise, isa which) {
+#ifdef QUORUM_HAVE_AVX2_KERNELS
+    if (which == isa::avx2 && n_qubits >= 3) {
+        detail::density_cx_avx2(rho, std::size_t{1} << n_qubits, control,
+                                target, noise);
+        return true;
+    }
+#else
+    (void)rho, (void)n_qubits, (void)control, (void)target;
+    (void)noise, (void)which;
+#endif
+    return false;
+}
+
+bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control, qubit_t target,
+                const density_channels& noise) {
+    return density_cx(rho, n_qubits, control, target, noise, active_isa());
 }
 
 } // namespace quorum::qsim::kernels

@@ -1,15 +1,24 @@
-// Vectorised state-vector apply kernels behind runtime CPU dispatch.
+// Vectorised apply kernels for the statevector and density-matrix engines,
+// behind runtime CPU dispatch.
 //
-// The scalar kernels are THE bit-exactness reference: they reproduce,
-// operation for operation, the arithmetic the statevector engine has
-// always used (two complex multiplies, then one complex add, per output
-// amplitude; sequential column accumulation for dense blocks). The AVX2
-// kernels vectorise ACROSS independent amplitude groups — every lane
-// performs exactly the scalar operation sequence on its own amplitude,
-// with no FMA contraction and no reassociation — so both ISAs produce
-// IEEE-identical doubles for every input. tests/qsim/test_kernels.cpp
-// pins that equivalence bit for bit across n = 1..12; the golden-fixture
-// suites pin it end to end.
+// The statevector kernels come in two ISAs. The scalar kernels are THE
+// bit-exactness reference: they reproduce, operation for operation, the
+// arithmetic the engine has always used (two complex multiplies, then one
+// complex add, per output amplitude; sequential column accumulation for
+// dense blocks). The AVX2 kernels vectorise ACROSS independent amplitude
+// groups — every lane performs exactly the scalar operation sequence on
+// its own amplitude, with no FMA contraction and no reassociation — so
+// both ISAs produce IEEE-identical doubles for every input.
+//
+// The density-matrix kernels are AVX2 only. Their reference is the
+// multi-pass density_matrix methods (gate, depolarize, thermal, in the
+// noisy runner's order), which are also the scalar path: each kernel
+// takes a whole noisy gate in one sweep, vectorised across independent
+// density blocks under the same rule.
+//
+// tests/qsim/test_kernels.cpp and tests/qsim/test_density_kernels.cpp pin
+// these equivalences bit for bit; the golden-fixture suites pin them end
+// to end.
 //
 // Dispatch rule: the AVX2 path is taken when it was compiled in
 // (x86-64 + GCC/Clang), the CPU reports AVX2, and QUORUM_DISABLE_AVX2 is
@@ -74,6 +83,46 @@ void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
               double scale, isa which);
 void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
               double scale);
+
+/// Noise a density-matrix kernel applies after its gate, in the density
+/// runner's order: depolarize(p) on the operands, then thermal relaxation
+/// (gamma, lambda) on each operand in operand order. p == 0 skips the
+/// depolarizer and gamma == lambda == 0 skips relaxation, as the
+/// density_matrix primitives do. The kernels trust these values;
+/// density_matrix validates them (each in [0, 1]).
+struct density_channels {
+    double p = 0.0;
+    double gamma = 0.0;
+    double lambda = 0.0;
+};
+
+/// Noisy 1q step on a row-major 2^n_qubits x 2^n_qubits density matrix:
+/// rho -> u rho u† for the row-major 2x2 u on qubit q, then `noise`, in
+/// one sweep over 2x2 blocks. IEEE-identical, element for element, to
+/// density_matrix::apply_matrix(u, {q}) -> depolarize({q}, p) ->
+/// apply_thermal(q, gamma, lambda). A diagonal u (u[1] == u[2] == 0, the
+/// test apply_matrix uses) scales each element by d_r * conj(d_c), the
+/// four factors formed once per call; without noise that is a single
+/// elementwise pass. Runs only when `which` is isa::avx2, the AVX2 unit
+/// is compiled in and n_qubits >= 2; otherwise returns false and leaves
+/// rho untouched, and the caller takes the multi-pass path.
+[[nodiscard]] bool density_1q(amp* rho, std::size_t n_qubits, const amp* u,
+                              qubit_t q, const density_channels& noise,
+                              isa which);
+[[nodiscard]] bool density_1q(amp* rho, std::size_t n_qubits, const amp* u,
+                              qubit_t q, const density_channels& noise);
+
+/// Noisy cx step, one sweep over 4x4 blocks: the cx permutation, then
+/// depolarize({control, target}, p), then thermal relaxation on the
+/// control and then the target. IEEE-identical to
+/// density_matrix::apply_gate(cx) -> depolarize -> apply_thermal x2.
+/// Runs under the same conditions as density_1q, with n_qubits >= 3;
+/// otherwise returns false and leaves rho untouched.
+[[nodiscard]] bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
+                              qubit_t target, const density_channels& noise,
+                              isa which);
+[[nodiscard]] bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
+                              qubit_t target, const density_channels& noise);
 
 } // namespace quorum::qsim::kernels
 

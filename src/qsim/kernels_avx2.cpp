@@ -4,19 +4,28 @@
 // entering.
 //
 // Bit-exactness strategy: vectorise ACROSS independent amplitude groups
-// (two groups per 256-bit vector, one complex amplitude per 128-bit
-// lane half) so that every amplitude experiences exactly the scalar
-// operation sequence — multiply, multiply, addsub for a complex product
-// (one rounding each, matching (a*c - b*d, a*d + b*c)), then plain adds
-// in scalar accumulation order. No FMA instructions are emitted in
-// these kernels and -ffp-contract=off keeps the compiler from
-// introducing any: the results are IEEE-identical to the scalar
-// reference, which tests/qsim/test_kernels.cpp pins bit for bit.
+// or density blocks (two per 256-bit vector, one complex value per
+// 128-bit lane half) so that every element experiences exactly the
+// reference's operation sequence — multiply, multiply, addsub for a
+// complex product (one rounding each, matching (a*c - b*d, a*d + b*c)),
+// then plain adds in the reference's accumulation order. No FMA
+// instructions are emitted in these kernels and -ffp-contract=off keeps
+// the compiler from introducing any: the results are IEEE-identical to
+// the references (the scalar kernels for the statevector, the multi-pass
+// density_matrix methods for the density kernels), which
+// tests/qsim/test_kernels.cpp and tests/qsim/test_density_kernels.cpp
+// pin bit for bit. The one gap in
+// -ffp-contract=off is std::complex arithmetic, which GCC's vectoriser
+// may still turn into vfmaddsub, so this TU multiplies no std::complex
+// values itself: setup products arrive precomputed from kernels.cpp.
 #include "qsim/kernels_detail.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include <cmath>
+#include <complex>
 
 #include "qsim/bit_ops.h"
 
@@ -191,6 +200,341 @@ void collapse_avx2(amp* data, std::size_t dim, qubit_t q, bool outcome,
             double* pi = p + 2 * (scale_run + i);
             _mm256_storeu_pd(pi, _mm256_mul_pd(_mm256_loadu_pd(pi), vs));
         }
+    }
+}
+
+namespace {
+
+/// The next index above `index` whose `mask` bits are all clear: walks
+/// the base indices of every block without a per-index test.
+[[nodiscard]] constexpr std::size_t next_clear(std::size_t index,
+                                               std::size_t mask) noexcept {
+    return ((index | mask) + 1) & ~mask;
+}
+
+/// Where block-local index `local` of a cx block reads from: the
+/// control-set indices `cbit` (target clear) and 3 (target set) trade
+/// places. Local bit 0 is the lower operand, bit 1 the higher.
+[[nodiscard]] constexpr std::size_t cx_source(std::size_t local,
+                                              std::size_t cbit) noexcept {
+    return local == cbit ? 3 : local == 3 ? cbit : local;
+}
+
+/// Splat of a real constant (complex * double scales re and im alike).
+inline __m256d splat(double value) { return _mm256_set1_pd(value); }
+
+/// u * x for a broadcast u (see cmul above).
+inline __m256d cmul(const bcast& u, __m256d x) { return cmul(u.re, u.im, x); }
+
+/// a * x + b * y, the reference's two-term complex sum, per lane.
+inline __m256d cmul_add(const bcast& a, __m256d x, const bcast& b, __m256d y) {
+    return _mm256_add_pd(cmul(a, x), cmul(b, y));
+}
+
+/// Per-call constants of the density kernels, broadcast once: keep is
+/// 1 - p, mix the depolarizer's weight on the traced part (p/2 for 1q,
+/// p/4 for cx), thermal_keep sqrt((1 - gamma)(1 - lambda)) and decay_keep
+/// 1 - gamma.
+struct density_constants {
+    bool depolarize = false;
+    bool thermal = false;
+    __m256d keep;
+    __m256d mix;
+    __m256d thermal_keep;
+    __m256d gamma;
+    __m256d decay_keep;
+};
+
+density_constants make_constants(const density_channels& noise, double mix) {
+    const double thermal_keep =
+        std::sqrt((1.0 - noise.gamma) * (1.0 - noise.lambda));
+    density_constants k;
+    k.depolarize = noise.p != 0.0;
+    k.thermal = noise.gamma != 0.0 || noise.lambda != 0.0;
+    k.keep = splat(1.0 - noise.p);
+    k.mix = splat(mix);
+    k.thermal_keep = splat(thermal_keep);
+    k.gamma = splat(noise.gamma);
+    k.decay_keep = splat(1.0 - noise.gamma);
+    return k;
+}
+
+/// Thermal relaxation on one 2x2 (qubit-bit) sub-block: coherences scale,
+/// gamma * rho_11 moves into rho_00 — apply_thermal's arithmetic.
+inline void thermal_2x2(const density_constants& k, __m256d& e00, __m256d& e01,
+                        __m256d& e10, __m256d& e11) {
+    e01 = _mm256_mul_pd(e01, k.thermal_keep);
+    e10 = _mm256_mul_pd(e10, k.thermal_keep);
+    e00 = _mm256_add_pd(e00, _mm256_mul_pd(e11, k.gamma));
+    e11 = _mm256_mul_pd(e11, k.decay_keep);
+}
+
+/// The 1q channel on a 2x2 block [e00 e01; e10 e11], each vector holding
+/// the same element of two independent blocks. factor[2 * r + c] is
+/// d_r * conj(d_c) for a diagonal gate.
+struct channel_1q {
+    bool diagonal = false;
+    bcast u[4];
+    bcast conj_u[4];
+    bcast factor[4];
+    density_constants k;
+
+    void operator()(__m256d& e00, __m256d& e01, __m256d& e10,
+                    __m256d& e11) const {
+        if (diagonal) {
+            e00 = cmul(factor[0], e00);
+            e01 = cmul(factor[1], e01);
+            e10 = cmul(factor[2], e10);
+            e11 = cmul(factor[3], e11);
+        } else {
+            // rho -> u rho (row axis), then rho -> rho u† (columns).
+            const __m256d r00 = cmul_add(u[0], e00, u[1], e10);
+            const __m256d r10 = cmul_add(u[2], e00, u[3], e10);
+            const __m256d r01 = cmul_add(u[0], e01, u[1], e11);
+            const __m256d r11 = cmul_add(u[2], e01, u[3], e11);
+            e00 = cmul_add(conj_u[0], r00, conj_u[1], r01);
+            e01 = cmul_add(conj_u[2], r00, conj_u[3], r01);
+            e10 = cmul_add(conj_u[0], r10, conj_u[1], r11);
+            e11 = cmul_add(conj_u[2], r10, conj_u[3], r11);
+        }
+        if (k.depolarize) {
+            const __m256d mixed = _mm256_mul_pd(_mm256_add_pd(e00, e11), k.mix);
+            e00 = _mm256_add_pd(_mm256_mul_pd(e00, k.keep), mixed);
+            e11 = _mm256_add_pd(_mm256_mul_pd(e11, k.keep), mixed);
+            e01 = _mm256_mul_pd(e01, k.keep);
+            e10 = _mm256_mul_pd(e10, k.keep);
+        }
+        if (k.thermal) {
+            thermal_2x2(k, e00, e01, e10, e11);
+        }
+    }
+};
+
+/// The noiseless diagonal gate: rho_rc *= d_r * conj(d_c), elementwise.
+void density_diagonal(double* p, std::size_t dim, const amp* factor,
+                      qubit_t q) {
+    const std::size_t step = std::size_t{1} << q;
+    for (std::size_t r = 0; r < dim; ++r) {
+        const amp* row_factor = factor + ((r & step) != 0 ? 2 : 0);
+        double* row = p + 2 * r * dim;
+        if (q == 0) {
+            // Columns alternate the bit: one vector holds both factors.
+            const double* f = reinterpret_cast<const double*>(row_factor);
+            const __m256d f_re = _mm256_set_pd(f[2], f[2], f[0], f[0]);
+            const __m256d f_im = _mm256_set_pd(f[3], f[3], f[1], f[1]);
+            for (std::size_t c = 0; c < dim; c += 2) {
+                double* x = row + 2 * c;
+                _mm256_storeu_pd(x, cmul(f_re, f_im, _mm256_loadu_pd(x)));
+            }
+            continue;
+        }
+        // Runs of 2^q columns share the bit, and so the factor.
+        const bcast f0 = broadcast(row_factor);
+        const bcast f1 = broadcast(row_factor + 1);
+        for (std::size_t run = 0; run < dim; run += 2 * step) {
+            for (std::size_t c = run; c < run + step; c += 2) {
+                double* x = row + 2 * c;
+                double* y = x + 2 * step;
+                _mm256_storeu_pd(x, cmul(f0, _mm256_loadu_pd(x)));
+                _mm256_storeu_pd(y, cmul(f1, _mm256_loadu_pd(y)));
+            }
+        }
+    }
+}
+
+/// Regroups two packed pairs: v0 = [a0, a1] and v1 = [b0, b1] give
+/// first = [a0, b0] and second = [a1, b1]. The shuffle is its own
+/// inverse, so the same call packs them back.
+inline void split_pairs(__m256d v0, __m256d v1, __m256d& first,
+                        __m256d& second) {
+    first = _mm256_permute2f128_pd(v0, v1, 0x20);
+    second = _mm256_permute2f128_pd(v0, v1, 0x31);
+}
+
+/// Loads the complex pairs at x and x + gap (in doubles) regrouped by
+/// split_pairs: element 0 of both in `first`, element 1 in `second`.
+inline void load_split(const double* x, std::size_t gap, __m256d& first,
+                       __m256d& second) {
+    split_pairs(_mm256_loadu_pd(x), _mm256_loadu_pd(x + gap), first, second);
+}
+
+/// The inverse of load_split.
+inline void store_split(double* x, std::size_t gap, __m256d first,
+                        __m256d second) {
+    __m256d lo;
+    __m256d hi;
+    split_pairs(first, second, lo, hi);
+    _mm256_storeu_pd(x, lo);
+    _mm256_storeu_pd(x + gap, hi);
+}
+
+/// A 4x4 density block, two independent blocks per vector, indexed
+/// [row][column] by block-local index (bit 0: lower operand, bit 1:
+/// higher operand).
+using block4 = __m256d[4][4];
+
+/// Thermal relaxation on block-local bit `Bit` of a 4x4 block.
+template <std::size_t Bit>
+inline void thermal_local(const density_constants& k, block4& e) {
+    constexpr std::size_t clear[2] = {0, 3 ^ Bit};
+    for (const std::size_t i : clear) {
+        for (const std::size_t j : clear) {
+            thermal_2x2(k, e[i][j], e[i][j | Bit], e[i | Bit][j],
+                        e[i | Bit][j | Bit]);
+        }
+    }
+}
+
+/// One cx-channel sweep. ControlLow: the control is the lower operand
+/// (block-local bit 0). Paired: the lower operand is qubit 0, so local
+/// columns 0/1 and 2/3 are adjacent in memory and go through
+/// load_split/store_split. The partner block starts `delta` columns on,
+/// delta = 2^(the lowest qubit that is not an operand).
+template <bool ControlLow, bool Paired>
+void density_cx_sweep(double* p, std::size_t dim, std::size_t low,
+                      std::size_t high, const density_constants& k) {
+    constexpr std::size_t cbit = ControlLow ? 1 : 2;
+    constexpr std::size_t tbit = 3 ^ cbit;
+    constexpr std::size_t column_step = Paired ? 2 : 1;
+    const std::size_t mask = low | high;
+    const std::size_t delta = ~mask & (mask + 1);
+    const std::size_t offset[4] = {0, low, high, mask};
+    for (std::size_t r = 0; r < dim; r = next_clear(r, mask)) {
+        double* rows[4];
+        for (std::size_t i = 0; i < 4; ++i) {
+            rows[i] = p + 2 * (r + offset[i]) * dim;
+        }
+        for (std::size_t c = 0; c < dim; c = next_clear(c, mask | delta)) {
+            block4 m;
+            for (std::size_t i = 0; i < 4; ++i) {
+                for (std::size_t j = 0; j < 4; j += column_step) {
+                    const double* x = rows[i] + 2 * (c + offset[j]);
+                    if constexpr (Paired) {
+                        load_split(x, 2 * delta, m[i][j], m[i][j + 1]);
+                    } else {
+                        m[i][j] = _mm256_loadu_pd(x);
+                    }
+                }
+            }
+            // The cx permutation is a pure relabelling.
+            block4 e;
+            for (std::size_t i = 0; i < 4; ++i) {
+                for (std::size_t j = 0; j < 4; ++j) {
+                    e[i][j] = m[cx_source(i, cbit)][cx_source(j, cbit)];
+                }
+            }
+            if (k.depolarize) {
+                // Tr over the operands before scaling, summed from zero in
+                // ascending-offset order: depolarize's partial trace.
+                __m256d sum = _mm256_setzero_pd();
+                for (std::size_t a = 0; a < 4; ++a) {
+                    sum = _mm256_add_pd(sum, e[a][a]);
+                }
+                for (auto& row : e) {
+                    for (__m256d& value : row) {
+                        value = _mm256_mul_pd(value, k.keep);
+                    }
+                }
+                const __m256d contribution = _mm256_mul_pd(sum, k.mix);
+                for (std::size_t a = 0; a < 4; ++a) {
+                    e[a][a] = _mm256_add_pd(e[a][a], contribution);
+                }
+            }
+            if (k.thermal) {
+                thermal_local<cbit>(k, e);
+                thermal_local<tbit>(k, e);
+            }
+            for (std::size_t i = 0; i < 4; ++i) {
+                for (std::size_t j = 0; j < 4; j += column_step) {
+                    double* x = rows[i] + 2 * (c + offset[j]);
+                    if constexpr (Paired) {
+                        store_split(x, 2 * delta, e[i][j], e[i][j + 1]);
+                    } else {
+                        _mm256_storeu_pd(x, e[i][j]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+void density_1q_avx2(amp* rho, std::size_t dim, const amp* u, const amp* factor,
+                     qubit_t q, const density_channels& noise) {
+    channel_1q channel;
+    channel.diagonal = u[1] == amp{} && u[2] == amp{};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const amp conj_u = std::conj(u[i]);
+        channel.u[i] = broadcast(u + i);
+        channel.conj_u[i] = broadcast(&conj_u);
+        channel.factor[i] = broadcast(factor + i);
+    }
+    channel.k = make_constants(noise, 0.5 * noise.p);
+    double* p = reinterpret_cast<double*>(rho);
+    if (channel.diagonal && !channel.k.depolarize && !channel.k.thermal) {
+        density_diagonal(p, dim, factor, q);
+        return;
+    }
+    if (q == 0) {
+        // A block's two columns are adjacent: the blocks at columns c and
+        // c + 2 go together, each row's pairs regrouped.
+        for (std::size_t r = 0; r < dim; r += 2) {
+            double* row0 = p + 2 * r * dim;
+            double* row1 = row0 + 2 * dim;
+            for (std::size_t c = 0; c < dim; c += 4) {
+                __m256d e00;
+                __m256d e01;
+                __m256d e10;
+                __m256d e11;
+                load_split(row0 + 2 * c, 4, e00, e01);
+                load_split(row1 + 2 * c, 4, e10, e11);
+                channel(e00, e01, e10, e11);
+                store_split(row0 + 2 * c, 4, e00, e01);
+                store_split(row1 + 2 * c, 4, e10, e11);
+            }
+        }
+        return;
+    }
+    // q >= 1: the blocks at columns c and c + 1 load as one vector.
+    const std::size_t step = std::size_t{1} << q;
+    for (std::size_t r = 0; r < dim; r = next_clear(r, step)) {
+        double* row0 = p + 2 * r * dim;
+        double* row1 = row0 + 2 * step * dim;
+        for (std::size_t c = 0; c < dim; c = next_clear(c, step | 1)) {
+            double* x00 = row0 + 2 * c;
+            double* x01 = x00 + 2 * step;
+            double* x10 = row1 + 2 * c;
+            double* x11 = x10 + 2 * step;
+            __m256d e00 = _mm256_loadu_pd(x00);
+            __m256d e01 = _mm256_loadu_pd(x01);
+            __m256d e10 = _mm256_loadu_pd(x10);
+            __m256d e11 = _mm256_loadu_pd(x11);
+            channel(e00, e01, e10, e11);
+            _mm256_storeu_pd(x00, e00);
+            _mm256_storeu_pd(x01, e01);
+            _mm256_storeu_pd(x10, e10);
+            _mm256_storeu_pd(x11, e11);
+        }
+    }
+}
+
+void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control, qubit_t target,
+                     const density_channels& noise) {
+    const std::size_t cmask = std::size_t{1} << control;
+    const std::size_t tmask = std::size_t{1} << target;
+    const std::size_t low = cmask < tmask ? cmask : tmask;
+    const std::size_t high = cmask ^ tmask ^ low;
+    const density_constants k = make_constants(noise, noise.p / 4.0);
+    double* p = reinterpret_cast<double*>(rho);
+    if (cmask < tmask && low == 1) {
+        density_cx_sweep<true, true>(p, dim, low, high, k);
+    } else if (cmask < tmask) {
+        density_cx_sweep<true, false>(p, dim, low, high, k);
+    } else if (low == 1) {
+        density_cx_sweep<false, true>(p, dim, low, high, k);
+    } else {
+        density_cx_sweep<false, false>(p, dim, low, high, k);
     }
 }
 

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <span>
 
+#include "qsim/kernels.h"
 #include "qsim/types.h"
 
 namespace quorum::qsim::kernels::detail {
@@ -27,6 +28,13 @@ void apply_block_avx2(amp* data, std::size_t dim, const amp* u,
                       std::span<const std::size_t> offsets, amp* scratch);
 void collapse_avx2(amp* data, std::size_t dim, qubit_t q, bool outcome,
                    double scale);
+/// Density kernels take the matrix side `dim` (2^n; at least 4 for 1q and
+/// 8 for cx). `factor` holds d_r * conj(d_c) for a diagonal u, indexed
+/// 2 * r + c.
+void density_1q_avx2(amp* rho, std::size_t dim, const amp* u, const amp* factor,
+                     qubit_t q, const density_channels& noise);
+void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control, qubit_t target,
+                     const density_channels& noise);
 
 } // namespace quorum::qsim::kernels::detail
 

@@ -4,6 +4,7 @@
 
 #include "qsim/density_matrix.h"
 #include "qsim/noise.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace {
@@ -266,6 +267,37 @@ TEST(DensityMatrix, CxFastPathMatchesGeneric) {
             }
         }
     }
+}
+
+TEST(DensityMatrix, DepolarizeRejectsBadOperands) {
+    density_matrix rho(2);
+    const qubit_t out_of_range[] = {5};
+    EXPECT_THROW(rho.depolarize(out_of_range, 0.1),
+                 quorum::util::contract_error);
+    const qubit_t duplicate[] = {0, 0};
+    EXPECT_THROW(rho.depolarize(duplicate, 0.5), quorum::util::contract_error);
+}
+
+TEST(DensityMatrix, PartialTraceRejectsBadOperands) {
+    const density_matrix rho(3);
+    const qubit_t out_of_range[] = {3};
+    EXPECT_THROW((void)rho.partial_trace(out_of_range),
+                 quorum::util::contract_error);
+    const qubit_t duplicate[] = {1, 1};
+    EXPECT_THROW((void)rho.partial_trace(duplicate),
+                 quorum::util::contract_error);
+}
+
+TEST(DensityMatrix, InitializeRegisterRejectsBadOperands) {
+    density_matrix rho(3);
+    const std::vector<amp> one_qubit = {1.0, 0.0};
+    const qubit_t out_of_range[] = {7};
+    EXPECT_THROW(rho.initialize_register(out_of_range, one_qubit),
+                 quorum::util::contract_error);
+    const std::vector<amp> two_qubits = {1.0, 0.0, 0.0, 0.0};
+    const qubit_t duplicate[] = {2, 2};
+    EXPECT_THROW(rho.initialize_register(duplicate, two_qubits),
+                 quorum::util::contract_error);
 }
 
 } // namespace

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +8,7 @@
 
 #include "qsim/density_runner.h"
 #include "qsim/statevector_runner.h"
+#include "qsim/transpile.h"
 #include "util/rng.h"
 
 namespace {
@@ -119,6 +122,54 @@ TEST(DensityRunner, ThermalOnlyModelRelaxesExcitedState) {
     const noisy_run_result result = density_runner::run(c, nm);
     // gamma = 1 - exp(-0.5) ~ 0.39: excited population decays accordingly.
     EXPECT_NEAR(result.state.probability_one(0), std::exp(-0.5), 1e-6);
+}
+
+TEST(DensityRunner, FusedChannelsMatchMultiPassReplayWithNoisyRz) {
+    // The runner takes each 1q/cx gate and its channels in one fused
+    // sweep. Replay the same lowered circuit through the separate
+    // primitives — including the diagonal rz, which this custom model
+    // gives a depolarizing error and a duration — and demand equal bits.
+    noise_model nm = noise_model::ibm_brisbane_median();
+    nm.set_depolarizing_param(gate_kind::rz, 0.01);
+    nm.set_gate_duration(gate_kind::rz, 35.0);
+    quorum::util::rng gen(73);
+    const circuit lowered = transpile_for_hardware(quorum_like_circuit(gen));
+
+    density_matrix reference(lowered.num_qubits());
+    for (const operation& op : lowered.ops()) {
+        if (op.kind == op_kind::reset) {
+            reference.reset_qubit(op.qubits[0]);
+            continue;
+        }
+        double ns = nm.measure_duration_ns(); // measure: readout window
+        if (op.kind == op_kind::gate) {
+            reference.apply_gate(op.gate, op.qubits, op.params);
+            const double p = nm.depolarizing_param(op.gate);
+            if (p > 0.0) {
+                reference.depolarize(op.qubits, p);
+            }
+            ns = nm.duration_ns(op.gate);
+        }
+        const auto thermal = nm.thermal_coefficients(ns);
+        if (thermal.gamma > 0.0 || thermal.lambda > 0.0) {
+            for (const qubit_t q : op.qubits) {
+                reference.apply_thermal(q, thermal.gamma, thermal.lambda);
+            }
+        }
+    }
+
+    const noisy_run_result fused = density_runner::run_lowered(lowered, nm);
+    const std::span<const amp> a = fused.state.elements();
+    const std::span<const amp> b = reference.elements();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].real()),
+                  std::bit_cast<std::uint64_t>(b[i].real()))
+            << "element " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].imag()),
+                  std::bit_cast<std::uint64_t>(b[i].imag()))
+            << "element " << i;
+    }
 }
 
 } // namespace
