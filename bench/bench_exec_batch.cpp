@@ -7,6 +7,12 @@
 // batched engine. The acceptance bar for the engine is >= 2x.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+#include <random>
+#include <span>
+#include <vector>
+
 #include "core/ensemble.h"
 #include "data/feature_select.h"
 #include "data/generators.h"
@@ -240,6 +246,126 @@ void bm_suffix_fused(benchmark::State& state) {
         static_cast<std::int64_t>(program.fused_unitary_count()));
 }
 BENCHMARK(bm_suffix_fused);
+
+/// The Table-I family (3 qubits, 2 layers, levels {1, 2}, 4096 shots,
+/// sampled unless `mode` says otherwise) over `batch` samples with
+/// per-(sample, level) streams.
+struct family_workload {
+    std::unique_ptr<exec::executor> engine;
+    std::vector<exec::program> family;
+    std::vector<std::vector<double>> amplitudes;
+    std::vector<util::rng> gens;
+    std::vector<util::rng*> gen_ptrs;
+    std::vector<exec::sample> samples;
+
+    explicit family_workload(std::size_t batch,
+                             exec::sampling mode = exec::sampling::binomial) {
+        exec::engine_config config;
+        config.sampling_mode = mode;
+        config.shots = 4096;
+        engine = exec::make_executor("statevector", config);
+        util::rng gen(17);
+        const qml::ansatz_params params = qml::random_ansatz_params(3, 2, gen);
+        for (const std::size_t level : {1, 2}) {
+            exec::program program;
+            program.circuit = qsim::compiled_program::compile(
+                qml::autoencoder_reg_a_template(params, level));
+            program.readout.kind = exec::readout_kind::prep_overlap_p1;
+            family.push_back(std::move(program));
+        }
+        amplitudes.resize(batch);
+        gens.reserve(2 * batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+            std::vector<double> features(7);
+            for (double& f : features) {
+                f = gen.uniform() / 7.0;
+            }
+            amplitudes[i] = qml::to_amplitudes(features, 3);
+            for (std::size_t k = 0; k < 2; ++k) {
+                gens.emplace_back(util::derive_seed(5, 2 * i + k));
+                gen_ptrs.push_back(&gens.back());
+            }
+        }
+        samples.resize(batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+            samples[i].amplitudes = amplitudes[i];
+            samples[i].level_gens =
+                std::span<util::rng* const>(gen_ptrs.data() + 2 * i, 2);
+        }
+    }
+};
+
+/// A bucket of `batch` samples in one level-session call: lane blocks
+/// once the batch reaches the lane cutoff, per-sample replay below it.
+/// Against bm_family_per_sample these rows set the cutoff.
+void bm_family_lanes(benchmark::State& state) {
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    family_workload w(batch);
+    const auto session = w.engine->make_level_session(w.family);
+    std::vector<double> out(2 * batch);
+    for (auto _ : state) {
+        session->run(w.samples, out);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(bm_family_lanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(40);
+
+/// The same samples pushed one session call each (the stream's traffic):
+/// always the per-sample replay.
+void bm_family_per_sample(benchmark::State& state) {
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    family_workload w(batch);
+    const auto session = w.engine->make_level_session(w.family);
+    std::vector<double> out(2 * batch);
+    const std::span<const exec::sample> samples = w.samples;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < batch; ++i) {
+            session->run(samples.subspan(i, 1),
+                         std::span(out).subspan(2 * i, 2));
+        }
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(bm_family_per_sample)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(40);
+
+/// The sampler's inputs: the exact readouts of the family workload, 128
+/// samples at both levels.
+std::vector<double> swap_test_probabilities() {
+    family_workload w(128, exec::sampling::exact);
+    std::vector<double> p(256);
+    w.engine->run_batch_levels(w.family, w.samples, p);
+    return p;
+}
+
+/// One Binomial(4096, p) draw per item, as rng::binomial drew it before
+/// the sampler was copied in: a std::binomial_distribution per call.
+void bm_binomial_std(benchmark::State& state) {
+    const std::vector<double> p = swap_test_probabilities();
+    util::rng gen(4);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        std::binomial_distribution<std::uint64_t> dist(4096, p[i++ % 256]);
+        benchmark::DoNotOptimize(dist(gen.engine()));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_binomial_std);
+
+/// The same draws through rng::binomial's memoised copy.
+void bm_binomial_owned(benchmark::State& state) {
+    const std::vector<double> p = swap_test_probabilities();
+    util::rng gen(4);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.binomial(4096, p[i++ % 256]));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_binomial_owned);
 
 } // namespace
 

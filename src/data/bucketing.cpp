@@ -8,12 +8,19 @@ namespace quorum::data {
 
 namespace {
 
+/// lgamma without writing the global signgam (std::lgamma does, which
+/// is a data race when ensemble groups size their buckets concurrently).
+double log_gamma(double x) {
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
 /// log C(n, k) via lgamma (exact enough for probabilities).
 double log_choose(std::size_t n, std::size_t k) {
     QUORUM_EXPECTS(k <= n);
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return log_gamma(static_cast<double>(n) + 1.0) -
+           log_gamma(static_cast<double>(k) + 1.0) -
+           log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 #include "exec/statevector_backend.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "qml/observables.h"
 #include "qml/swap_test.h"
+#include "qsim/kernels.h"
 #include "qsim/statevector_runner.h"
 #include "util/contracts.h"
 
@@ -22,6 +25,32 @@ using qsim::operation;
 using qsim::qubit_t;
 using qsim::statevector;
 
+/// Lane replay storage (see run_lane_block): branch amplitudes, chi,
+/// per-(branch, lane) weights and alive masks, and each lane's readouts.
+/// Reached through 64-byte aligned views, so lane rows never straddle a
+/// cache line.
+struct lane_buffers {
+    std::vector<double> re;
+    std::vector<double> im;
+    std::vector<double> chi_re;
+    std::vector<double> chi_im;
+    std::vector<double> weight;
+    std::vector<std::uint64_t> alive;
+    std::vector<double> fidelity;
+    std::vector<double> p_one;
+};
+
+/// A 64-byte aligned view of `count` elements of `storage`, which grows
+/// on first use and is reused after.
+template <typename T>
+T* aligned_view(std::vector<T>& storage, std::size_t count) {
+    constexpr std::size_t line = 64;
+    storage.resize(count + line / sizeof(T));
+    const std::size_t offset =
+        reinterpret_cast<std::uintptr_t>(storage.data()) % line;
+    return storage.data() + (offset == 0 ? 0 : (line - offset) / sizeof(T));
+}
+
 /// Reusable per-batch buffers (one set per run_batch call, so the backend
 /// itself stays stateless and thread-safe). `spare` is the branch arena:
 /// retired branches park here with their amplitude buffers intact, so
@@ -35,6 +64,7 @@ struct replay_buffers {
     std::vector<qsim::branch> spare;
     std::vector<amp> scratch;
     qsim::statevector chi; ///< D†|psi> buffer (prep-overlap shortcut)
+    lane_buffers lanes;
 };
 
 /// Retires a mixture into the spare pool (keeping every branch's buffer
@@ -363,6 +393,16 @@ program_plan make_plan(const program& prog) {
     return plan;
 }
 
+/// The value reported for a readout probability: itself under exact
+/// sampling, else a Binomial(shots, p_one) draw from `gen` over shots.
+double report(const engine_config& config, util::rng* gen, double p_one) {
+    if (config.sampling_mode == sampling::exact) {
+        return p_one;
+    }
+    return static_cast<double>(gen->binomial(config.shots, p_one)) /
+           static_cast<double>(config.shots);
+}
+
 void check_probability_readout(const readout_spec& spec, sampling mode) {
     QUORUM_EXPECTS_MSG(mode == sampling::exact ||
                            spec.kind == readout_kind::cbit_probability ||
@@ -397,7 +437,73 @@ struct family_plan {
     /// across compression levels).
     bool shared_tail = false;
     std::size_t scratch_size = 2;
+    /// Branches a lane replay of the family holds after its last reset,
+    /// or 0 when the family takes the per-sample path (see lane_slots).
+    std::size_t lane_slots = 0;
 };
+
+/// Lane replay (ARCHITECTURE.md Layer 4). A block of at least lane_cutoff
+/// samples replays in lanes; smaller remainders replay per sample, and so
+/// does the stream's one-sample session call: one sample in a padded lane
+/// block measured no faster than alone, two already 1.7x faster
+/// (bench_exec_batch: bm_family_lanes vs bm_family_per_sample).
+constexpr std::size_t lane_cutoff = 2;
+
+/// Memory cap of a lane block: at most this many branch rows (2^n
+/// amplitudes times the branches), 1 MiB of lane amplitudes. Larger
+/// families replay per sample.
+constexpr std::size_t lane_max_rows = 8192;
+
+/// True when a lane kernel applies `compiled`: id, x, cx or a 1q matrix.
+bool lane_gate(const compiled_op& compiled) {
+    const operation& op = compiled.op;
+    return op.kind == op_kind::gate &&
+           (op.gate == gate_kind::id || op.gate == gate_kind::x ||
+            op.gate == gate_kind::cx ||
+            (op.qubits.size() == 1 && compiled.matrix.rows() == 2));
+}
+
+/// The branch count a lane replay of the family ends with, or 0 when the
+/// AVX2 kernels are not active or the family is outside lane coverage:
+/// one full-register prep slot, no parameterized prefix, every level on
+/// the overlap shortcut with one shared tail, nested levels (each forks
+/// where the previous level's body ends), only id/x/cx/1q-matrix gates,
+/// resets and barriers, and at most lane_max_rows branch rows.
+std::size_t lane_slots(std::span<const program> levels,
+                       const family_plan& family) {
+    const compiled_program& head = levels[0].circuit;
+    if (qsim::kernels::active_isa() != qsim::kernels::isa::avx2 ||
+        !family.shared_tail || head.slots().size() != 1 ||
+        !head.prefix().empty()) {
+        return 0;
+    }
+    const std::size_t dim = std::size_t{1} << head.num_qubits();
+    std::size_t slots = 1;
+    std::size_t pos = 0;
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+        if (k > 0 && family.fork[k] != family.plans[k - 1].body_end) {
+            return 0;
+        }
+        for (; pos < family.plans[k].body_end; ++pos) {
+            const compiled_op& compiled = levels[k].circuit.suffix()[pos];
+            if (compiled.op.kind == op_kind::reset) {
+                slots *= 2;
+                if (slots * dim > lane_max_rows) {
+                    return 0;
+                }
+            } else if (compiled.op.kind != op_kind::barrier &&
+                       !lane_gate(compiled)) {
+                return 0;
+            }
+        }
+    }
+    for (const compiled_op& compiled : family.plans[0].tail.adjoint_ops) {
+        if (!lane_gate(compiled)) {
+            return 0;
+        }
+    }
+    return dim > lane_max_rows ? 0 : slots;
+}
 
 family_plan plan_family(std::span<const program> levels, sampling mode) {
     const std::size_t count = levels.size();
@@ -428,14 +534,189 @@ family_plan plan_family(std::span<const program> levels, sampling mode) {
             family.shared_tail = qsim::replays_identically(a[j], b[j]);
         }
     }
+    family.lane_slots = lane_slots(levels, family);
     return family;
 }
 
-/// The fused exact/binomial family replay over a precomputed plan. The
+/// Applies one lane-covered gate to every lane over rows [0, rows).
+void apply_lane_gate(double* re, double* im, std::size_t rows,
+                     const compiled_op& compiled) {
+    const operation& op = compiled.op;
+    switch (op.gate) {
+    case gate_kind::id:
+        return;
+    case gate_kind::x:
+        qsim::kernels::lanes_x(re, im, rows, op.qubits[0]);
+        return;
+    case gate_kind::cx:
+        qsim::kernels::lanes_cx(re, im, rows, op.qubits[0], op.qubits[1]);
+        return;
+    default:
+        qsim::kernels::lanes_1q(re, im, rows, compiled.matrix.data().data(),
+                                op.qubits[0]);
+        return;
+    }
+}
+
+/// Replays samples [first, first + count) of a lane-covered family as one
+/// lane block, count <= lane_width, writing out[] as the per-sample
+/// replay does. Each lane does what replay_sample does for a nested
+/// family, in the same order: the prepared state and chi = D†|psi>, the
+/// nested level bodies with every reset branch in a fixed slot (2s for
+/// outcome 0 and 2s + 1 for outcome 1 of slot s, so the alive slots come
+/// in the per-sample path's branch order), and per level the overlap
+/// readout. Spare lanes replay the block's first sample and are dropped.
+/// Binomial draws come last, sample by sample and level by level, as the
+/// per-sample path makes them.
+void run_lane_block(const engine_config& config,
+                    std::span<const program> levels,
+                    const family_plan& family, lane_buffers& lanes,
+                    std::span<const sample> samples, std::size_t first,
+                    std::size_t count, std::span<double> out) {
+    constexpr std::size_t width = qsim::kernels::lane_width;
+    const std::size_t level_count = levels.size();
+    const compiled_program& head = levels[0].circuit;
+    const std::size_t dim = std::size_t{1} << head.num_qubits();
+    const std::size_t rows = family.lane_slots * dim;
+    double* re = aligned_view(lanes.re, rows * width);
+    double* im = aligned_view(lanes.im, rows * width);
+    double* chi_re = aligned_view(lanes.chi_re, dim * width);
+    double* chi_im = aligned_view(lanes.chi_im, dim * width);
+    double* weight = aligned_view(lanes.weight, family.lane_slots * width);
+    std::uint64_t* alive = aligned_view(lanes.alive,
+                                        family.lane_slots * width);
+    double* fidelity = aligned_view(lanes.fidelity, width);
+    lanes.p_one.resize(width * level_count);
+
+    // |0..0> with the prep slot filled as initialize_register_prepared
+    // writes it, (1, 0) * (a_j, 0), and chi = (a_j, +0.0) with
+    // assign_amplitudes' normalisation check.
+    const std::vector<std::size_t>& offsets = head.slots()[0].offsets;
+    const amp base{1.0};
+    for (std::size_t lane = 0; lane < width; ++lane) {
+        const sample& s = samples[first + (lane < count ? lane : 0)];
+        double norm = 0.0;
+        for (const double a : s.amplitudes) {
+            norm += std::norm(amp{a});
+        }
+        QUORUM_EXPECTS_MSG(std::abs(norm - 1.0) < 1e-9,
+                           "amplitudes must be normalised");
+        for (std::size_t j = 0; j < dim; ++j) {
+            const amp value = base * amp{s.amplitudes[j]};
+            re[offsets[j] * width + lane] = value.real();
+            im[offsets[j] * width + lane] = value.imag();
+            chi_re[j * width + lane] = s.amplitudes[j];
+            chi_im[j * width + lane] = 0.0;
+        }
+        weight[lane] = 1.0;
+        alive[lane] = ~std::uint64_t{0};
+    }
+    for (const compiled_op& compiled : family.plans[0].tail.adjoint_ops) {
+        apply_lane_gate(chi_re, chi_im, dim, compiled);
+    }
+
+    std::size_t slots = 1;
+    std::size_t pos = 0;
+    for (std::size_t k = 0; k < level_count; ++k) {
+        for (; pos < family.plans[k].body_end; ++pos) {
+            const compiled_op& compiled = levels[k].circuit.suffix()[pos];
+            if (compiled.op.kind == op_kind::reset) {
+                qsim::kernels::lanes_reset(re, im, dim, slots,
+                                           compiled.op.qubits[0], weight,
+                                           alive);
+                slots *= 2;
+            } else if (compiled.op.kind == op_kind::gate) {
+                apply_lane_gate(re, im, slots * dim, compiled);
+            }
+        }
+        qsim::kernels::lanes_overlap(chi_re, chi_im, re, im, dim, slots,
+                                     weight, alive, fidelity);
+        for (std::size_t lane = 0; lane < count; ++lane) {
+            lanes.p_one[lane * level_count + k] =
+                qml::swap_test_p1_from_overlap(fidelity[lane]);
+        }
+    }
+    for (std::size_t lane = 0; lane < count; ++lane) {
+        const sample& s = samples[first + lane];
+        for (std::size_t k = 0; k < level_count; ++k) {
+            out[(first + lane) * level_count + k] =
+                report(config, s.level_gens.empty() ? nullptr
+                                                    : s.level_gens[k],
+                       lanes.p_one[lane * level_count + k]);
+        }
+    }
+}
+
+/// The per-sample family replay of one sample, out[k] per level. The
 /// trunk mixture holds the ops every remaining level still shares; each
 /// level forks off it (or reads it directly when its whole body is
 /// shared, as in nested reset families). Bit-identical to per-level
-/// run_batch, and allocation-free across calls once `buffers` is warm —
+/// run_batch.
+void replay_sample(const engine_config& config,
+                   std::span<const program> levels, const family_plan& family,
+                   replay_buffers& buffers, const sample& s,
+                   std::span<double> out) {
+    const std::size_t count = levels.size();
+    seed_mixture(levels[0].circuit, s, buffers);
+    std::size_t trunk_pos = 0;
+    if (family.shared_tail) {
+        reference_through_tail(family.plans[0].tail, s, buffers);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+        const program& level = levels[k];
+        if (k + 1 < count) {
+            const std::size_t target =
+                std::min(family.fork[k + 1], family.plans[k].body_end);
+            if (target > trunk_pos) {
+                apply_suffix_ops(level.circuit, buffers.branches,
+                                 buffers.next_branches, buffers.spare,
+                                 buffers.scratch, trunk_pos, target);
+                trunk_pos = target;
+            }
+        }
+        const std::vector<qsim::branch>* final_branches = &buffers.branches;
+        if (trunk_pos < family.plans[k].body_end) {
+            // The fork copy draws its storage from the spare pool —
+            // the slots (and their amplitude buffers) previous
+            // levels' forks left behind.
+            copy_mixture(buffers.branches, buffers.work, buffers.spare);
+            apply_suffix_ops(level.circuit, buffers.work,
+                             buffers.next_branches, buffers.spare,
+                             buffers.scratch, trunk_pos,
+                             family.plans[k].body_end);
+            final_branches = &buffers.work;
+        }
+        double p_one = 0.0;
+        if (family.plans[k].shortcut) {
+            if (!family.shared_tail) {
+                reference_through_tail(family.plans[k].tail, s, buffers);
+            }
+            p_one = overlap_p1(buffers.chi, *final_branches);
+        } else {
+            p_one = read_out(level.readout, level.circuit, *final_branches);
+        }
+        out[k] = report(config,
+                        s.level_gens.empty() ? nullptr : s.level_gens[k],
+                        p_one);
+        if (k + 1 < count && trunk_pos > family.fork[k + 1]) {
+            // The trunk evolved past the next level's fork point (only
+            // possible for non-nested level orderings): rebuild it
+            // along the next level's ops — bit-identical to a fresh
+            // per-level replay, just without the sharing.
+            seed_mixture(levels[k + 1].circuit, s, buffers);
+            apply_suffix_ops(levels[k + 1].circuit, buffers.branches,
+                             buffers.next_branches, buffers.spare,
+                             buffers.scratch, 0, family.fork[k + 1]);
+            trunk_pos = family.fork[k + 1];
+        }
+    }
+}
+
+/// The fused exact/binomial family replay over a precomputed plan:
+/// blocks of lane_width samples replay in lanes while at least
+/// lane_cutoff samples remain (lane-covered families on the AVX2 kernels
+/// only), the rest per sample. Bit-identical to per-level run_batch
+/// either way, and allocation-free across calls once `buffers` is warm —
 /// the property level_session exposes to the streaming scorer.
 void run_family_planned(const engine_config& config,
                         std::span<const program> levels,
@@ -444,68 +725,19 @@ void run_family_planned(const engine_config& config,
                         std::span<double> out) {
     const std::size_t count = levels.size();
     buffers.scratch.resize(family.scratch_size); // no-op once warm
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const sample& s = samples[i];
-        seed_mixture(levels[0].circuit, s, buffers);
-        std::size_t trunk_pos = 0;
-        if (family.shared_tail) {
-            reference_through_tail(family.plans[0].tail, s, buffers);
+    std::size_t first = 0;
+    if (family.lane_slots != 0) {
+        while (samples.size() - first >= lane_cutoff) {
+            const std::size_t block =
+                std::min(qsim::kernels::lane_width, samples.size() - first);
+            run_lane_block(config, levels, family, buffers.lanes, samples,
+                           first, block, out);
+            first += block;
         }
-        for (std::size_t k = 0; k < count; ++k) {
-            const program& level = levels[k];
-            if (k + 1 < count) {
-                const std::size_t target =
-                    std::min(family.fork[k + 1], family.plans[k].body_end);
-                if (target > trunk_pos) {
-                    apply_suffix_ops(level.circuit, buffers.branches,
-                                     buffers.next_branches, buffers.spare,
-                                     buffers.scratch, trunk_pos, target);
-                    trunk_pos = target;
-                }
-            }
-            const std::vector<qsim::branch>* final_branches =
-                &buffers.branches;
-            if (trunk_pos < family.plans[k].body_end) {
-                // The fork copy draws its storage from the spare pool —
-                // the slots (and their amplitude buffers) previous
-                // levels' forks left behind.
-                copy_mixture(buffers.branches, buffers.work, buffers.spare);
-                apply_suffix_ops(level.circuit, buffers.work,
-                                 buffers.next_branches, buffers.spare,
-                                 buffers.scratch, trunk_pos,
-                                 family.plans[k].body_end);
-                final_branches = &buffers.work;
-            }
-            double p_one = 0.0;
-            if (family.plans[k].shortcut) {
-                if (!family.shared_tail) {
-                    reference_through_tail(family.plans[k].tail, s, buffers);
-                }
-                p_one = overlap_p1(buffers.chi, *final_branches);
-            } else {
-                p_one =
-                    read_out(level.readout, level.circuit, *final_branches);
-            }
-            if (config.sampling_mode == sampling::exact) {
-                out[i * count + k] = p_one;
-            } else {
-                out[i * count + k] =
-                    static_cast<double>(
-                        s.level_gens[k]->binomial(config.shots, p_one)) /
-                    static_cast<double>(config.shots);
-            }
-            if (k + 1 < count && trunk_pos > family.fork[k + 1]) {
-                // The trunk evolved past the next level's fork point (only
-                // possible for non-nested level orderings): rebuild it
-                // along the next level's ops — bit-identical to a fresh
-                // per-level replay, just without the sharing.
-                seed_mixture(levels[k + 1].circuit, s, buffers);
-                apply_suffix_ops(levels[k + 1].circuit, buffers.branches,
-                                 buffers.next_branches, buffers.spare,
-                                 buffers.scratch, 0, family.fork[k + 1]);
-                trunk_pos = family.fork[k + 1];
-            }
-        }
+    }
+    for (std::size_t i = first; i < samples.size(); ++i) {
+        replay_sample(config, levels, family, buffers, samples[i],
+                      out.subspan(i * count, count));
     }
 }
 
@@ -622,13 +854,7 @@ void statevector_backend::run_batch(const program& prog,
                 p_one = read_out(prog.readout, prog.circuit,
                                  buffers.branches);
             }
-            if (config_.sampling_mode == sampling::exact) {
-                out[i] = p_one;
-            } else {
-                out[i] = static_cast<double>(
-                             samples[i].gen->binomial(config_.shots, p_one)) /
-                         static_cast<double>(config_.shots);
-            }
+            out[i] = report(config_, samples[i].gen, p_one);
         }
         return;
     }
@@ -712,6 +938,13 @@ void statevector_backend::run_batch_levels(std::span<const program> levels,
     const family_plan plan = plan_family(levels, config_.sampling_mode);
     replay_buffers buffers;
     run_family_planned(config_, levels, plan, buffers, samples, out);
+}
+
+bool statevector_backend::replays_in_lanes(std::span<const program> family,
+                                           std::size_t batch) const {
+    return config_.sampling_mode != sampling::per_shot &&
+           batch >= lane_cutoff &&
+           plan_family(family, config_.sampling_mode).lane_slots != 0;
 }
 
 std::unique_ptr<level_session>

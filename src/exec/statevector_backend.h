@@ -13,6 +13,10 @@
 // state prep + encoder + nested reset prefix evolves ONCE per sample as a
 // trunk branch mixture, and each level forks (or reads the trunk
 // directly) at its first divergent op — ==-equal to per-level run_batch.
+// On the AVX2 kernels, Quorum's register-A families replay a bucket's
+// samples lane_width at a time: every op is one lane-kernel call per
+// block, each lane bit-identical to the per-sample replay. run_batch
+// stays per-sample, the independent reference both are checked against.
 #ifndef QUORUM_EXEC_STATEVECTOR_BACKEND_H
 #define QUORUM_EXEC_STATEVECTOR_BACKEND_H
 
@@ -43,6 +47,14 @@ public:
     void run_batch_levels(std::span<const program> levels,
                           std::span<const sample> samples,
                           std::span<double> out) const override;
+
+    /// True when run_batch_levels (or a session's run) over `family` with
+    /// `batch` samples replays at least one block in lanes: the AVX2
+    /// kernels are active, the family is in lane coverage and the batch
+    /// reaches the lane cutoff (ARCHITECTURE.md Layer 4). For tests and
+    /// benches; results are IEEE == either way.
+    [[nodiscard]] bool replays_in_lanes(std::span<const program> family,
+                                        std::size_t batch) const;
 
     /// Persistent fused session: the family plan (replay plans, fork
     /// points, shared decoder tail, scratch sizing) is computed once and

@@ -6,6 +6,7 @@
 
 #include <complex>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "qsim/bit_ops.h"
 #include "qsim/kernels_detail.h"
@@ -200,5 +201,34 @@ bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control, qubit_t target,
                 const density_channels& noise) {
     return density_cx(rho, n_qubits, control, target, noise, active_isa());
 }
+
+#ifndef QUORUM_HAVE_AVX2_KERNELS
+// The lane kernels live in the AVX2 unit. Without it active_isa() is
+// never isa::avx2, so no caller enters them.
+namespace {
+[[noreturn]] void no_lane_kernels() {
+    throw std::logic_error("lane kernels need the AVX2 unit");
+}
+} // namespace
+
+void lanes_1q(double*, double*, std::size_t, const amp*, qubit_t) {
+    no_lane_kernels();
+}
+void lanes_x(double*, double*, std::size_t, qubit_t) {
+    no_lane_kernels();
+}
+void lanes_cx(double*, double*, std::size_t, qubit_t, qubit_t) {
+    no_lane_kernels();
+}
+void lanes_reset(double*, double*, std::size_t, std::size_t, qubit_t,
+                 double*, std::uint64_t*) {
+    no_lane_kernels();
+}
+void lanes_overlap(const double*, const double*, const double*, const double*,
+                   std::size_t, std::size_t, const double*,
+                   const std::uint64_t*, double*) {
+    no_lane_kernels();
+}
+#endif
 
 } // namespace quorum::qsim::kernels

@@ -16,9 +16,13 @@
 // takes a whole noisy gate in one sweep, vectorised across independent
 // density blocks under the same rule.
 //
-// tests/qsim/test_kernels.cpp and tests/qsim/test_density_kernels.cpp pin
-// these equivalences bit for bit; the golden-fixture suites pin them end
-// to end.
+// The lane kernels are AVX2 only as well: they evolve eight samples'
+// states side by side, vectorised across samples, and their reference is
+// the per-sample replay the scalar ISA keeps running.
+//
+// tests/qsim/test_kernels.cpp, tests/qsim/test_density_kernels.cpp and
+// tests/exec/test_lane_replay.cpp pin these equivalences bit for bit; the
+// golden-fixture suites pin them end to end.
 //
 // Dispatch rule: the AVX2 path is taken when it was compiled in
 // (x86-64 + GCC/Clang), the CPU reports AVX2, and QUORUM_DISABLE_AVX2 is
@@ -29,6 +33,7 @@
 #define QUORUM_QSIM_KERNELS_H
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "qsim/types.h"
@@ -123,6 +128,54 @@ struct density_channels {
                               isa which);
 [[nodiscard]] bool density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
                               qubit_t target, const density_channels& noise);
+
+/// Lane kernels: `lane_width` samples' statevectors evolved side by side,
+/// for the statevector backend's lane replay of small circuits. A lane
+/// state of `rows` amplitudes is two arrays, `re` and `im`, of
+/// rows * lane_width doubles indexed [row][lane]. Reset branches stack as
+/// consecutive blocks of 2^n rows, so a gate on qubit q < n is one call
+/// over every branch. Each lane performs the scalar kernels' operation
+/// sequence on its own amplitudes (two complex products, then one complex
+/// add, per output; row swaps for x and cx), in split re/im doubles: the
+/// AVX2 unit does no std::complex arithmetic, which GCC contracts into
+/// vfmaddsub there even under -ffp-contract=off. Every lane is therefore
+/// IEEE-identical to the per-sample replay (tests/exec/
+/// test_lane_replay.cpp). AVX2 only: callers enter them only when
+/// active_isa() is isa::avx2 (and take the per-sample path otherwise);
+/// without the AVX2 unit they throw.
+inline constexpr std::size_t lane_width = 8;
+
+/// apply_1q in every lane: the row-major 2x2 u on qubit q, over rows
+/// [0, rows).
+void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
+              qubit_t q);
+
+/// x on qubit q and cx in every lane: row swaps over rows [0, rows).
+void lanes_x(double* re, double* im, std::size_t rows, qubit_t q);
+void lanes_cx(double* re, double* im, std::size_t rows, qubit_t control,
+              qubit_t target);
+
+/// A reset of qubit q on the `slots` branch states stacked in re/im, each
+/// `dim` rows, with one weight and one alive mask (all ones or zero) per
+/// (branch, lane). Branch s becomes branch 2s (outcome 0: rows with bit q
+/// clear scaled by 1/sqrt(p_zero), the rest +0.0) and branch 2s + 1
+/// (outcome 1, the same with p_one, then x on q), where p_one sums
+/// |amplitude|^2 over the rows with bit q set in ascending order and
+/// p_zero = 1 - p_one. A child is alive when its parent is and its
+/// probability exceeds probability_epsilon, and weighs the parent's
+/// weight times that probability. Dead branches are still computed (their
+/// values may be inf or NaN). The arrays must hold 2 * slots branches.
+void lanes_reset(double* re, double* im, std::size_t dim, std::size_t slots,
+                 qubit_t q, double* weight, std::uint64_t* alive);
+
+/// The SWAP-test fidelity of every lane: from +0.0, add, for each alive
+/// branch in branch order, weight * |<chi|branch>|^2, the inner product
+/// summing conj(chi_i) * branch_i from amp{} in ascending i. Dead branches
+/// are selected out, never multiplied by zero.
+void lanes_overlap(const double* chi_re, const double* chi_im,
+                   const double* re, const double* im, std::size_t dim,
+                   std::size_t slots, const double* weight,
+                   const std::uint64_t* alive, double* fidelity);
 
 } // namespace quorum::qsim::kernels
 

@@ -3,17 +3,19 @@
 // must check CPU support at runtime (kernels::active_isa) before
 // entering.
 //
-// Bit-exactness strategy: vectorise ACROSS independent amplitude groups
-// or density blocks (two per 256-bit vector, one complex value per
-// 128-bit lane half) so that every element experiences exactly the
+// Bit-exactness strategy: vectorise ACROSS independent amplitude groups,
+// density blocks (two per 256-bit vector, one complex value per 128-bit
+// lane half) or samples (the lane kernels: four samples' re or im parts
+// per vector) so that every element experiences exactly the
 // reference's operation sequence — multiply, multiply, addsub for a
 // complex product (one rounding each, matching (a*c - b*d, a*d + b*c)),
 // then plain adds in the reference's accumulation order. No FMA
 // instructions are emitted in these kernels and -ffp-contract=off keeps
 // the compiler from introducing any: the results are IEEE-identical to
 // the references (the scalar kernels for the statevector, the multi-pass
-// density_matrix methods for the density kernels), which
-// tests/qsim/test_kernels.cpp and tests/qsim/test_density_kernels.cpp
+// density_matrix methods for the density kernels, the per-sample replay
+// for the lane kernels), which tests/qsim/test_kernels.cpp,
+// tests/qsim/test_density_kernels.cpp and tests/exec/test_lane_replay.cpp
 // pin bit for bit. The one gap in
 // -ffp-contract=off is std::complex arithmetic, which GCC's vectoriser
 // may still turn into vfmaddsub, so this TU multiplies no std::complex
@@ -539,5 +541,212 @@ void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control, qubit_t target,
 }
 
 } // namespace quorum::qsim::kernels::detail
+
+namespace quorum::qsim::kernels {
+
+namespace {
+
+static_assert(lane_width % 4 == 0, "a lane row is whole 256-bit vectors");
+
+inline __m256d load(const double* p) { return _mm256_loadu_pd(p); }
+inline void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+
+/// Row `row` of a lane array.
+inline double* lane_row(double* base, std::size_t row) {
+    return base + row * lane_width;
+}
+inline const double* lane_row(const double* base, std::size_t row) {
+    return base + row * lane_width;
+}
+
+/// Real and imaginary parts of u * x, u broadcast as (ur, ui):
+/// (u.re x.re - u.im x.im, u.re x.im + u.im x.re).
+inline __m256d product_re(__m256d ur, __m256d ui, __m256d xr, __m256d xi) {
+    return _mm256_sub_pd(_mm256_mul_pd(ur, xr), _mm256_mul_pd(ui, xi));
+}
+inline __m256d product_im(__m256d ur, __m256d ui, __m256d xr, __m256d xi) {
+    return _mm256_add_pd(_mm256_mul_pd(ur, xi), _mm256_mul_pd(ui, xr));
+}
+
+void swap_rows(double* re, double* im, std::size_t a, std::size_t b) {
+    for (std::size_t v = 0; v < lane_width; v += 4) {
+        double* ra = lane_row(re, a) + v;
+        double* rb = lane_row(re, b) + v;
+        double* ia = lane_row(im, a) + v;
+        double* ib = lane_row(im, b) + v;
+        const __m256d tr = load(ra);
+        const __m256d ti = load(ia);
+        store(ra, load(rb));
+        store(ia, load(ib));
+        store(rb, tr);
+        store(ib, ti);
+    }
+}
+
+} // namespace
+
+void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
+              qubit_t q) {
+    const double* parts = reinterpret_cast<const double*>(u);
+    __m256d ur[4];
+    __m256d ui[4];
+    for (std::size_t e = 0; e < 4; ++e) {
+        ur[e] = _mm256_set1_pd(parts[2 * e]);
+        ui[e] = _mm256_set1_pd(parts[2 * e + 1]);
+    }
+    const std::size_t step = std::size_t{1} << q;
+    for (std::size_t block = 0; block < rows; block += 2 * step) {
+        for (std::size_t i = block; i < block + step; ++i) {
+            for (std::size_t v = 0; v < lane_width; v += 4) {
+                double* par = lane_row(re, i) + v;
+                double* pai = lane_row(im, i) + v;
+                double* pbr = lane_row(re, i + step) + v;
+                double* pbi = lane_row(im, i + step) + v;
+                const __m256d ar = load(par);
+                const __m256d ai = load(pai);
+                const __m256d br = load(pbr);
+                const __m256d bi = load(pbi);
+                store(par, _mm256_add_pd(product_re(ur[0], ui[0], ar, ai),
+                                         product_re(ur[1], ui[1], br, bi)));
+                store(pai, _mm256_add_pd(product_im(ur[0], ui[0], ar, ai),
+                                         product_im(ur[1], ui[1], br, bi)));
+                store(pbr, _mm256_add_pd(product_re(ur[2], ui[2], ar, ai),
+                                         product_re(ur[3], ui[3], br, bi)));
+                store(pbi, _mm256_add_pd(product_im(ur[2], ui[2], ar, ai),
+                                         product_im(ur[3], ui[3], br, bi)));
+            }
+        }
+    }
+}
+
+void lanes_x(double* re, double* im, std::size_t rows, qubit_t q) {
+    const std::size_t step = std::size_t{1} << q;
+    for (std::size_t block = 0; block < rows; block += 2 * step) {
+        for (std::size_t i = block; i < block + step; ++i) {
+            swap_rows(re, im, i, i + step);
+        }
+    }
+}
+
+void lanes_cx(double* re, double* im, std::size_t rows, qubit_t control,
+              qubit_t target) {
+    const std::size_t cmask = std::size_t{1} << control;
+    const std::size_t tmask = std::size_t{1} << target;
+    for (std::size_t i = 0; i < rows; ++i) {
+        if ((i & cmask) != 0 && (i & tmask) == 0) {
+            swap_rows(re, im, i, i | tmask);
+        }
+    }
+}
+
+void lanes_reset(double* re, double* im, std::size_t dim, std::size_t slots,
+                 qubit_t q, double* weight, std::uint64_t* alive) {
+    const std::size_t mask = std::size_t{1} << q;
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d epsilon = _mm256_set1_pd(probability_epsilon);
+    const __m256d zero = _mm256_setzero_pd();
+    double* alive_bits = reinterpret_cast<double*>(alive);
+    // Parents in descending order: branch s writes branches 2s and 2s + 1,
+    // which are either free or parents already split; branch 0 writes its
+    // outcome-1 child before overwriting itself with the outcome-0 child.
+    for (std::size_t s = slots; s-- > 0;) {
+        const std::size_t parent = s * dim;
+        const std::size_t child0 = 2 * s * dim;
+        const std::size_t child1 = child0 + dim;
+        for (std::size_t v = 0; v < lane_width; v += 4) {
+            __m256d p_one = zero;
+            for (std::size_t i = 0; i < dim; ++i) {
+                if ((i & mask) != 0) {
+                    const __m256d r = load(lane_row(re, parent + i) + v);
+                    const __m256d m = load(lane_row(im, parent + i) + v);
+                    p_one = _mm256_add_pd(
+                        p_one, _mm256_add_pd(_mm256_mul_pd(r, r),
+                                             _mm256_mul_pd(m, m)));
+                }
+            }
+            const __m256d p_zero = _mm256_sub_pd(one, p_one);
+            const __m256d w = load(weight + s * lane_width + v);
+            const __m256d live = load(alive_bits + s * lane_width + v);
+            const __m256d scale0 = _mm256_div_pd(one, _mm256_sqrt_pd(p_zero));
+            const __m256d scale1 = _mm256_div_pd(one, _mm256_sqrt_pd(p_one));
+            store(weight + (2 * s) * lane_width + v,
+                  _mm256_mul_pd(w, p_zero));
+            store(weight + (2 * s + 1) * lane_width + v,
+                  _mm256_mul_pd(w, p_one));
+            store(alive_bits + (2 * s) * lane_width + v,
+                  _mm256_and_pd(live,
+                                _mm256_cmp_pd(p_zero, epsilon, _CMP_GT_OQ)));
+            store(alive_bits + (2 * s + 1) * lane_width + v,
+                  _mm256_and_pd(live,
+                                _mm256_cmp_pd(p_one, epsilon, _CMP_GT_OQ)));
+            // Outcome 1, then x on q: row i (bit clear) takes the scaled
+            // amplitude of row i | mask, and row i | mask is +0.0.
+            for (std::size_t i = 0; i < dim; ++i) {
+                if ((i & mask) == 0) {
+                    const std::size_t from = parent + (i | mask);
+                    store(lane_row(re, child1 + i) + v,
+                          _mm256_mul_pd(load(lane_row(re, from) + v), scale1));
+                    store(lane_row(im, child1 + i) + v,
+                          _mm256_mul_pd(load(lane_row(im, from) + v), scale1));
+                    store(lane_row(re, child1 + (i | mask)) + v, zero);
+                    store(lane_row(im, child1 + (i | mask)) + v, zero);
+                }
+            }
+            // Outcome 0: bit-clear rows scaled, bit-set rows +0.0.
+            for (std::size_t i = 0; i < dim; ++i) {
+                double* r = lane_row(re, child0 + i) + v;
+                double* m = lane_row(im, child0 + i) + v;
+                if ((i & mask) == 0) {
+                    const double* from_r = lane_row(re, parent + i) + v;
+                    const double* from_m = lane_row(im, parent + i) + v;
+                    store(r, _mm256_mul_pd(load(from_r), scale0));
+                    store(m, _mm256_mul_pd(load(from_m), scale0));
+                } else {
+                    store(r, zero);
+                    store(m, zero);
+                }
+            }
+        }
+    }
+}
+
+void lanes_overlap(const double* chi_re, const double* chi_im,
+                   const double* re, const double* im, std::size_t dim,
+                   std::size_t slots, const double* weight,
+                   const std::uint64_t* alive, double* fidelity) {
+    const double* alive_bits = reinterpret_cast<const double*>(alive);
+    for (std::size_t v = 0; v < lane_width; v += 4) {
+        __m256d sum = _mm256_setzero_pd();
+        for (std::size_t s = 0; s < slots; ++s) {
+            __m256d inner_re = _mm256_setzero_pd();
+            __m256d inner_im = _mm256_setzero_pd();
+            for (std::size_t i = 0; i < dim; ++i) {
+                const __m256d cr = load(lane_row(chi_re, i) + v);
+                const __m256d ci = load(lane_row(chi_im, i) + v);
+                const __m256d br = load(lane_row(re, s * dim + i) + v);
+                const __m256d bi = load(lane_row(im, s * dim + i) + v);
+                // conj(c) * b = (c.re b.re - (-c.im) b.im,
+                //                c.re b.im + (-c.im) b.re), which IEEE
+                // arithmetic rounds exactly as the sum and difference below.
+                inner_re = _mm256_add_pd(
+                    inner_re, _mm256_add_pd(_mm256_mul_pd(cr, br),
+                                            _mm256_mul_pd(ci, bi)));
+                inner_im = _mm256_add_pd(
+                    inner_im, _mm256_sub_pd(_mm256_mul_pd(cr, bi),
+                                            _mm256_mul_pd(ci, br)));
+            }
+            const __m256d norm =
+                _mm256_add_pd(_mm256_mul_pd(inner_re, inner_re),
+                              _mm256_mul_pd(inner_im, inner_im));
+            const __m256d next = _mm256_add_pd(
+                sum, _mm256_mul_pd(load(weight + s * lane_width + v), norm));
+            sum = _mm256_blendv_pd(sum, next,
+                                   load(alive_bits + s * lane_width + v));
+        }
+        store(fidelity + v, sum);
+    }
+}
+
+} // namespace quorum::qsim::kernels
 
 #endif // __AVX2__ && __FMA__

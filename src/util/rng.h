@@ -142,6 +142,10 @@ public:
 
     /// Binomial(n, p) sample count. Used to emulate `shots` circuit
     /// repetitions when only a single ancilla probability is measured.
+    /// Draws what libstdc++ 12's std::binomial_distribution<uint64_t>
+    /// would, engine word for engine word, on any standard library.
+    /// n == 0 or p <= 0 gives 0, p >= 1 gives n, and a NaN p is a
+    /// contract_error.
     std::uint64_t binomial(std::uint64_t n, double p);
 
     /// In-place Fisher–Yates shuffle.

@@ -1,5 +1,11 @@
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,6 +143,168 @@ TEST(Rng, BinomialMean) {
         total += static_cast<double>(gen.binomial(4096, 0.25));
     }
     EXPECT_NEAR(total / trials, 1024.0, 5.0);
+}
+
+TEST(Rng, BinomialRejectsNan) {
+    rng gen(29);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW((void)gen.binomial(4096, nan), quorum::util::contract_error);
+    EXPECT_THROW((void)gen.binomial(0, nan), quorum::util::contract_error);
+    // The infinities keep their clamped meaning.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(gen.binomial(4096, inf), 4096u);
+    EXPECT_EQ(gen.binomial(4096, -inf), 0u);
+}
+
+#if defined(__GLIBCXX__)
+// rng::binomial is a copy of libstdc++ 12's binomial_distribution: over
+// every regime of the sampler (the waiting method below n * p = 8, the
+// rejection method above it, both sides of p = 0.5, n = 1, n up to 2^40)
+// each draw must return the library's count and leave the engine where
+// the library leaves it.
+TEST(Rng, BinomialMatchesLibstdcxxDrawForDraw) {
+    rng ours(2025);
+    quorum::util::xoshiro256ss theirs = ours.engine();
+    std::size_t draws = 0;
+    std::size_t mismatches = 0;
+    const auto check = [&](std::uint64_t n, double p) {
+        ASSERT_GT(p, 0.0);
+        ASSERT_LT(p, 1.0);
+        std::binomial_distribution<std::uint64_t> dist(n, p);
+        const std::uint64_t expected = dist(theirs);
+        const std::uint64_t got = ours.binomial(n, p);
+        ++draws;
+        if (got != expected || ours.engine().state() != theirs.state()) {
+            if (++mismatches <= 5) {
+                ADD_FAILURE() << "n = " << n << ", p = " << p << ": got "
+                              << got << ", libstdc++ " << expected;
+            }
+            theirs = ours.engine();
+        }
+    };
+    rng cases(7);
+    // n * p just below, at and just above 8, on both sides of p = 0.5.
+    for (const std::uint64_t n : {9ULL, 16ULL, 100ULL, 1024ULL, 4096ULL,
+                                  65536ULL}) {
+        const double at = 8.0 / static_cast<double>(n);
+        for (const double p :
+             {at, std::nextafter(at, 0.0), std::nextafter(at, 1.0),
+              at * (1 - 1e-9), at * (1 + 1e-9), at * 0.99, at * 1.01}) {
+            for (int i = 0; i < 8000; ++i) {
+                check(n, p);
+                check(n, 1.0 - p);
+            }
+        }
+    }
+    // p = 0.5 and either side of it.
+    for (const double p : {0.5, std::nextafter(0.5, 0.0),
+                           std::nextafter(0.5, 1.0), 0.4999, 0.5001, 0.3,
+                           0.7}) {
+        for (int i = 0; i < 20000; ++i) {
+            check(1 + cases.uniform_index(100000), p);
+        }
+    }
+    // n = 1, and n up to 2^40.
+    for (int i = 0; i < 50000; ++i) {
+        check(1, 1e-6 + cases.uniform() * (1 - 2e-6));
+    }
+    for (const std::uint64_t n : {1ULL << 20, 1ULL << 32, 1ULL << 40}) {
+        for (int i = 0; i < 20000; ++i) {
+            check(n, 1e-6 + cases.uniform() * (1 - 2e-6));
+        }
+    }
+    // Random n with p uniform, near 0, near 1 and on a k/n grid.
+    for (int i = 0; i < 60000; ++i) {
+        const std::uint64_t n = 1 + cases.uniform_index(100000);
+        check(n, 1e-9 + cases.uniform() * (1 - 2e-9));
+        check(n, 1e-9 + cases.uniform() * 1e-3);
+        check(n, 1.0 - (1e-9 + cases.uniform() * 1e-3));
+        const std::uint64_t k = 1 + cases.uniform_index(n + 1);
+        if (k < n) {
+            check(n, static_cast<double>(k) / static_cast<double>(n));
+        }
+    }
+    // The Quorum regime: 4096 and 1024 shots at swap-test probabilities.
+    for (int i = 0; i < 100000; ++i) {
+        const double p = 0.5 * cases.uniform();
+        if (p > 0.0) {
+            check(4096, p);
+            check(1024, p);
+        }
+    }
+    EXPECT_GE(draws, 1000000u);
+    EXPECT_EQ(mismatches, 0u);
+}
+#endif
+
+// Threads drawing at once, each from its own stream, build the shared
+// lgamma table and their own memos on their first draws; every thread
+// must see the draws a lone thread sees. Under ThreadSanitizer this is
+// also where a sampler calling std::lgamma (which writes glibc's global
+// signgam) shows its data race.
+TEST(Rng, ConcurrentBinomialDrawsMatchSequentialOnes) {
+    const auto draw_all = [](std::uint64_t seed) {
+        rng gen(seed);
+        std::vector<std::uint64_t> draws;
+        for (int i = 0; i < 2000; ++i) {
+            draws.push_back(gen.binomial(4096, 0.001 + 0.00025 * i));
+        }
+        return draws;
+    };
+    constexpr std::size_t threads = 4;
+    std::vector<std::vector<std::uint64_t>> concurrent(threads);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] { concurrent[t] = draw_all(100 + t); });
+    }
+    for (std::thread& worker : pool) {
+        worker.join();
+    }
+    for (std::size_t t = 0; t < threads; ++t) {
+        EXPECT_EQ(concurrent[t], draw_all(100 + t)) << "thread " << t;
+    }
+}
+
+// The sampler's stream pinned on any standard library: one stream, one
+// draw per row, then the engine's next word.
+TEST(Rng, BinomialPinnedDraws) {
+    struct pinned_draw {
+        std::uint64_t n;
+        double p;
+        std::uint64_t expected;
+    };
+    constexpr std::array<pinned_draw, 24> table{{
+        {4096, 0.01, 23},
+        {4096, 0.0019, 8},
+        {4096, 0.3, 1214},
+        {4096, 0.5, 2056},
+        {4096, 0.97, 3976},
+        {1024, 0.2, 185},
+        {1, 0.5, 1},
+        {100, 0.08, 5},
+        {100, 0.0799, 6},
+        {1ULL << 40, 0.25, 274878200119ULL},
+        {65536, 0.999, 65471},
+        {12, 0.6, 6},
+        {4096, 0.125, 525},
+        {4096, 0.0625, 235},
+        {1024, 0.45, 441},
+        {1024, 0.0078125, 3},
+        {50000, 0.5001, 25134},
+        {3, 0.999, 3},
+        {4096, 0.4, 1604},
+        {4096, 0.02, 77},
+        {1ULL << 32, 1e-9, 2},
+        {777, 0.75, 573},
+        {4096, 0.2, 819},
+        {4096, 0.002, 8},
+    }};
+    rng gen(2025);
+    for (const pinned_draw& row : table) {
+        EXPECT_EQ(gen.binomial(row.n, row.p), row.expected)
+            << "n = " << row.n << ", p = " << row.p;
+    }
+    EXPECT_EQ(gen.engine()(), 3288371889155385544ULL);
 }
 
 TEST(Rng, PermutationIsPermutation) {
