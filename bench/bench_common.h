@@ -9,8 +9,12 @@
 #define QUORUM_BENCH_COMMON_H
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+
+#include "util/parse.h"
 
 namespace quorum::bench {
 
@@ -41,6 +45,42 @@ inline bool bench_extended_sizes() { return bench_scale() >= 2.0; }
 
 /// The master seed shared by all benches (dataset generation + detector).
 inline constexpr std::uint64_t bench_seed = 2025;
+
+/// The argument after `name` on the command line, or nullptr when `name`
+/// is absent. `name` with no value after it exits 2.
+inline const char* flag_argument(int argc, char** argv, const char* name) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], name) == 0) {
+            if (i + 1 == argc) {
+                std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
+                             name);
+                std::exit(2);
+            }
+            return argv[i + 1];
+        }
+    }
+    return nullptr;
+}
+
+/// The count after `name` (util::parse_count), or `fallback` when `name`
+/// is absent. A value that is not a plain non-negative integer exits 2.
+inline std::size_t flag_value(int argc, char** argv, const char* name,
+                              std::size_t fallback) {
+    const char* text = flag_argument(argc, argv, name);
+    std::size_t value = fallback;
+    if (text != nullptr && !util::parse_count(text, value)) {
+        std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0], text,
+                     name);
+        std::exit(2);
+    }
+    return value;
+}
+
+/// The text after `name`, or "" when `name` is absent.
+inline std::string flag_text(int argc, char** argv, const char* name) {
+    const char* text = flag_argument(argc, argv, name);
+    return text == nullptr ? std::string{} : std::string(text);
+}
 
 } // namespace quorum::bench
 

@@ -25,7 +25,6 @@
 //   --out PATH       also write the JSON report to PATH
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -46,26 +45,6 @@
 namespace {
 
 using namespace quorum;
-
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return static_cast<std::size_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-        }
-    }
-    return fallback;
-}
-
-std::string flag_text(int argc, char** argv, const char* name) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return {};
-}
 
 std::size_t g_heavy_reps = 8;
 
@@ -173,11 +152,11 @@ run_result time_policy(const workload& work, std::size_t shards,
 } // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t samples = flag_value(argc, argv, "--samples", 256);
-    g_heavy_reps = flag_value(argc, argv, "--heavy-reps", 8);
-    const std::size_t reps = flag_value(argc, argv, "--reps", 3);
-    const std::size_t grain = flag_value(argc, argv, "--grain", 8);
-    const std::string out_path = flag_text(argc, argv, "--out");
+    const std::size_t samples = bench::flag_value(argc, argv, "--samples", 256);
+    g_heavy_reps = bench::flag_value(argc, argv, "--heavy-reps", 8);
+    const std::size_t reps = bench::flag_value(argc, argv, "--reps", 3);
+    const std::size_t grain = bench::flag_value(argc, argv, "--grain", 8);
+    const std::string out_path = bench::flag_text(argc, argv, "--out");
     const std::string dynamic_spec =
         "dynamic:" + std::to_string(grain);
 

@@ -25,7 +25,6 @@
 //   --out PATH  also write the flat BENCH json artifact to PATH
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -41,26 +40,6 @@
 namespace {
 
 using namespace quorum;
-
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return static_cast<std::size_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-        }
-    }
-    return fallback;
-}
-
-std::string flag_text(int argc, char** argv, const char* name) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return {};
-}
 
 struct scenario_result {
     double samples_per_second = 0.0;
@@ -172,8 +151,8 @@ scenario_result run_sensor_scenario(std::size_t reps) {
 } // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t reps = flag_value(argc, argv, "--reps", 2);
-    const std::string out_path = flag_text(argc, argv, "--out");
+    const std::size_t reps = bench::flag_value(argc, argv, "--reps", 2);
+    const std::string out_path = bench::flag_text(argc, argv, "--out");
 
     std::printf("=== Scenario diversity: encoding / hybrid / new domains "
                 "===\n");

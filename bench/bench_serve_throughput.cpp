@@ -24,7 +24,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -121,35 +120,15 @@ void reap_serve(serve_handle& handle) {
     handle.pid = -1;
 }
 
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return static_cast<std::size_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-        }
-    }
-    return fallback;
-}
-
-std::string flag_text(int argc, char** argv, const char* name) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return {};
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
     ::setenv("QUORUM_WORKER", QUORUM_WORKER_BIN, 0);
-    const std::size_t workers = flag_value(argc, argv, "--workers", 2);
-    const std::size_t clients = flag_value(argc, argv, "--clients", 4);
-    const std::size_t requests = flag_value(argc, argv, "--requests", 4);
-    const std::size_t samples = flag_value(argc, argv, "--samples", 24);
-    const std::string out_path = flag_text(argc, argv, "--out");
+    const std::size_t workers = bench::flag_value(argc, argv, "--workers", 2);
+    const std::size_t clients = bench::flag_value(argc, argv, "--clients", 4);
+    const std::size_t requests = bench::flag_value(argc, argv, "--requests", 4);
+    const std::size_t samples = bench::flag_value(argc, argv, "--samples", 24);
+    const std::string out_path = bench::flag_text(argc, argv, "--out");
     const std::size_t groups = bench::scaled_groups(4);
 
     // The workload every request scores: a flagship-style clustered

@@ -24,7 +24,6 @@
 // Honours QUORUM_BENCH_SCALE (scales the ensemble-group count).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -33,50 +32,21 @@
 #include "data/generators.h"
 #include "stream/stream_scorer.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/timer.h"
-
-namespace {
 
 using namespace quorum;
 
-std::size_t flag_value(int argc, char** argv, const char* name,
-                       std::size_t fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return static_cast<std::size_t>(
-                std::strtoull(argv[i + 1], nullptr, 10));
-        }
-    }
-    return fallback;
-}
-
-std::string flag_text(int argc, char** argv, const char* name) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return {};
-}
-
-double percentile(const std::vector<double>& sorted, double q) {
-    const double rank = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
-    const std::size_t arrivals = flag_value(argc, argv, "--arrivals", 192);
+    const std::size_t arrivals =
+        bench::flag_value(argc, argv, "--arrivals", 192);
     const std::size_t groups =
-        flag_value(argc, argv, "--groups", bench::scaled_groups(8));
-    const std::size_t window = flag_value(argc, argv, "--window", 8);
-    const std::size_t rebucket = flag_value(argc, argv, "--rebucket", 32);
-    const std::size_t shots = flag_value(argc, argv, "--shots", 1024);
-    const std::string out_path = flag_text(argc, argv, "--out");
+        bench::flag_value(argc, argv, "--groups", bench::scaled_groups(8));
+    const std::size_t window = bench::flag_value(argc, argv, "--window", 8);
+    const std::size_t rebucket =
+        bench::flag_value(argc, argv, "--rebucket", 32);
+    const std::size_t shots = bench::flag_value(argc, argv, "--shots", 1024);
+    const std::string out_path = bench::flag_text(argc, argv, "--out");
 
     stream::stream_config config;
     config.window = window;
@@ -119,7 +89,6 @@ int main(int argc, char** argv) {
     }
     const double wall_seconds = wall.seconds();
 
-    std::sort(latencies_us.begin(), latencies_us.end());
     double mean = 0.0;
     for (const double latency : latencies_us) {
         mean += latency;
@@ -138,8 +107,8 @@ int main(int argc, char** argv) {
         "\"latency_us\":{\"mean\":%.1f,\"p99\":%.1f},"
         "\"score_checksum\":%.6f}",
         arrivals, groups, window, rebucket, shots, wall_seconds,
-        samples_per_second, percentile(latencies_us, 0.50), mean,
-        percentile(latencies_us, 0.99), checksum);
+        samples_per_second, util::quantile(latencies_us, 0.50), mean,
+        util::quantile(latencies_us, 0.99), checksum);
     std::printf("%s\n", json);
     if (!out_path.empty()) {
         std::ofstream out(out_path);

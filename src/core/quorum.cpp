@@ -1,5 +1,6 @@
 #include "core/quorum.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -35,8 +36,11 @@ score_report quorum_detector::score(const data::dataset& input) const {
             : data::normalize_for_quorum(input.without_labels());
 
     std::vector<group_result> groups(config_.ensemble_groups);
-    const std::size_t thread_count =
-        config_.threads == 0 ? util::default_thread_count() : config_.threads;
+    // parallel_for has one task per group, so more lanes than groups would
+    // only start idle threads.
+    const std::size_t thread_count = std::min(
+        config_.threads == 0 ? util::default_thread_count() : config_.threads,
+        config_.ensemble_groups);
 
     // One engine for the whole run, shared by every group worker (backends
     // are thread-safe); a sharded engine thus builds its shard pool once.
@@ -59,7 +63,7 @@ score_report quorum_detector::score(const data::dataset& input) const {
         }
     };
 
-    if (thread_count <= 1 || config_.ensemble_groups == 1) {
+    if (thread_count <= 1) {
         for (std::size_t g = 0; g < config_.ensemble_groups; ++g) {
             run_group(g);
         }

@@ -59,27 +59,6 @@ dataset normalize_unit_range(const dataset& input) {
     return normalize_range_scaled(input, 1.0);
 }
 
-dataset normalize_max_scale(const dataset& input) {
-    const normalization_summary summary = summarize_ranges(input);
-    const double per_feature_cap =
-        1.0 / static_cast<double>(input.num_features());
-    dataset out = input;
-    for (std::size_t j = 0; j < input.num_features(); ++j) {
-        QUORUM_EXPECTS_MSG(summary.feature_min[j] >= 0.0,
-                           "normalize_max_scale requires non-negative data; "
-                           "use normalize_for_quorum instead");
-        const double max_value = summary.feature_max[j];
-        for (std::size_t i = 0; i < input.num_samples(); ++i) {
-            if (max_value <= 0.0) {
-                out.at(i, j) = 0.0;
-            } else {
-                out.at(i, j) = input.at(i, j) / max_value * per_feature_cap;
-            }
-        }
-    }
-    return out;
-}
-
 double hash_category(std::string_view token) noexcept {
     // FNV-1a 64-bit, folded into the unit interval.
     std::uint64_t hash = 0xcbf29ce484222325ULL;

@@ -6,9 +6,8 @@
 // features is at most M * (1/M)^2 = 1/M <= 1 — which is exactly what
 // amplitude encoding with an overflow state needs. The paper's formula
 // assumes non-negative inputs; `normalize_for_quorum` therefore first
-// shifts each feature by its minimum ("range-based normalization"), while
-// `normalize_max_scale` applies the literal formula for already
-// non-negative data. Non-numeric features are hashed to floats (§IV-A).
+// shifts each feature by its minimum ("range-based normalization").
+// Non-numeric features are hashed to floats (§IV-A).
 #ifndef QUORUM_DATA_PREPROCESS_H
 #define QUORUM_DATA_PREPROCESS_H
 
@@ -34,10 +33,6 @@ struct normalization_summary {
 /// This is what angle encoding wants (each feature becomes its own
 /// RY(pi·x) rotation, so the 1/M amplitude budget does not apply).
 [[nodiscard]] dataset normalize_unit_range(const dataset& input);
-
-/// The paper's literal formula: x -> x / max_f * (1/M). Requires all
-/// values non-negative; throws otherwise. Constant-zero features map to 0.
-[[nodiscard]] dataset normalize_max_scale(const dataset& input);
 
 /// Observed min/max per feature (for reports and tests).
 [[nodiscard]] normalization_summary summarize_ranges(const dataset& input);

@@ -24,15 +24,6 @@ void write_qasm(std::ostream& out, const circuit& c);
 /// Convenience: write_qasm into a string.
 [[nodiscard]] std::string to_qasm(const circuit& c);
 
-/// Parses the OpenQASM 2.0 subset this library emits (single `q`/`c`
-/// registers, qelib1 gates, reset/measure/barrier; numeric literals with
-/// optional `pi` arithmetic of the form `k*pi/m`, `pi/m`, `-pi`, ...).
-/// Throws util::contract_error with a line reference on malformed input.
-[[nodiscard]] circuit parse_qasm(std::istream& in);
-
-/// Convenience: parse_qasm from a string.
-[[nodiscard]] circuit from_qasm(const std::string& text);
-
 } // namespace quorum::qsim
 
 #endif // QUORUM_QSIM_QASM_H

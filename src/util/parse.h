@@ -7,6 +7,8 @@
 #ifndef QUORUM_UTIL_PARSE_H
 #define QUORUM_UTIL_PARSE_H
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -54,12 +56,15 @@ bool parse_count(std::string_view text, T& out) noexcept {
 }
 
 /// Strict double parse: the whole string must be consumed (std::stod
-/// silently accepts trailing garbage like "0.5abc").
+/// silently accepts trailing garbage like "0.5abc"), with no leading
+/// whitespace, and the value must be finite ("nan", "inf" and "1e999",
+/// which overflows to inf, all fail).
 inline bool parse_real(std::string_view text, double& out) noexcept {
     const std::string copy(text); // strtod needs a terminator
     char* end = nullptr;
     const double value = std::strtod(copy.c_str(), &end);
-    if (end == copy.c_str() || *end != '\0') {
+    if (copy.empty() || std::isspace(static_cast<unsigned char>(copy[0])) ||
+        *end != '\0' || !std::isfinite(value)) {
         return false;
     }
     out = value;
@@ -67,12 +72,13 @@ inline bool parse_real(std::string_view text, double& out) noexcept {
 }
 
 /// Strict int parse for flags where negatives are meaningful
-/// (e.g. --label-column: -1 = no labels).
+/// (e.g. --label-column: -1 = no labels). No leading whitespace.
 inline bool parse_int(std::string_view text, int& out) noexcept {
     const std::string copy(text);
     char* end = nullptr;
     const long value = std::strtol(copy.c_str(), &end, 10);
-    if (end == copy.c_str() || *end != '\0' ||
+    if (copy.empty() || std::isspace(static_cast<unsigned char>(copy[0])) ||
+        *end != '\0' ||
         value < std::numeric_limits<int>::min() ||
         value > std::numeric_limits<int>::max()) {
         return false;

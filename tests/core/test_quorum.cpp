@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -227,6 +229,36 @@ TEST(QuorumDetector, ProgressCallbackDeliveryIsSerialized) {
     EXPECT_FALSE(out_of_order.load())
         << "completion counts did not arrive strictly increasing";
     EXPECT_EQ(last_done, 24u);
+}
+
+/// Threads of this process right now.
+std::size_t live_threads() {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(QuorumDetector, ThreadsBeyondGroupsStartNoIdleThreads) {
+    // parallel_for has one task per group, so threads = 16 over 2 groups
+    // needs one pool thread beside the caller, not fifteen.
+    const dataset d = planted_dataset(23, 40, 2);
+    quorum_config config = fast_config();
+    config.ensemble_groups = 2;
+    config.threads = 1;
+    const score_report serial = quorum_detector(config).score(d);
+    // A first threaded run starts any helper thread the runtime keeps
+    // (ThreadSanitizer has one), so `before` counts it.
+    config.threads = 2;
+    (void)quorum_detector(config).score(d);
+
+    config.threads = 16;
+    quorum_detector wide(config);
+    const std::size_t before = live_threads();
+    std::size_t peak = 0; // callbacks are serialised (see above)
+    wide.set_progress_callback([&peak](std::size_t, std::size_t) {
+        peak = std::max(peak, live_threads());
+    });
+    EXPECT_EQ(wide.score(d).scores, serial.scores);
+    EXPECT_LE(peak, before + 1);
 }
 
 TEST(QuorumDetector, RejectsDegenerateDatasets) {

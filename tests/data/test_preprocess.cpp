@@ -67,26 +67,6 @@ TEST(Preprocess, ConstantFeatureMapsToZero) {
     EXPECT_DOUBLE_EQ(normalized.at(1, 0), 0.0);
 }
 
-TEST(Preprocess, MaxScaleMatchesPaperFormula) {
-    dataset d = dataset::from_rows({{2.0, 8.0}, {4.0, 2.0}});
-    const dataset scaled = normalize_max_scale(d);
-    // value / max * (1/M), M = 2.
-    EXPECT_DOUBLE_EQ(scaled.at(0, 0), 2.0 / 4.0 * 0.5);
-    EXPECT_DOUBLE_EQ(scaled.at(0, 1), 8.0 / 8.0 * 0.5);
-    EXPECT_DOUBLE_EQ(scaled.at(1, 1), 2.0 / 8.0 * 0.5);
-}
-
-TEST(Preprocess, MaxScaleRejectsNegativeValues) {
-    dataset d = dataset::from_rows({{-1.0}, {2.0}});
-    EXPECT_THROW(normalize_max_scale(d), quorum::util::contract_error);
-}
-
-TEST(Preprocess, MaxScaleAllZerosFeature) {
-    dataset d = dataset::from_rows({{0.0}, {0.0}});
-    const dataset scaled = normalize_max_scale(d);
-    EXPECT_DOUBLE_EQ(scaled.at(0, 0), 0.0);
-}
-
 TEST(Preprocess, LabelsSurviveNormalisationUntouched) {
     dataset d = dataset::from_rows({{1.0}, {2.0}}, {1, 0});
     const dataset normalized = normalize_for_quorum(d);

@@ -1,20 +1,28 @@
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
-
-#include "util/contracts.h"
 
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
 #include "qsim/qasm.h"
-#include "qsim/statevector_runner.h"
 #include "qsim/transpile.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace quorum::qsim;
+
+/// The committed text of tests/qsim/fixtures/<name>.
+std::string fixture(const std::string& name) {
+    std::ifstream in(std::string(QUORUM_TEST_FIXTURE_DIR) + "/" + name);
+    EXPECT_TRUE(in.good()) << "missing fixture " << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
 
 TEST(Qasm, HeaderAndRegisters) {
     circuit c(3, 1);
@@ -80,6 +88,7 @@ TEST(Qasm, FullQuorumCircuitExports) {
     EXPECT_NE(qasm.find("measure q[6] -> c[0];"), std::string::npos);
     // Should be a substantial program.
     EXPECT_GT(qasm.size(), 500u);
+    EXPECT_EQ(qasm, fixture("autoencoder_n3.qasm"));
 }
 
 TEST(Qasm, TranspiledCircuitUsesBasisGatesOnly) {
@@ -101,6 +110,11 @@ TEST(Qasm, StreamOverloadMatchesString) {
 }
 
 
+// The QasmParse fixtures are to_qasm text that round-tripped through the
+// OpenQASM parser this library used to ship: each random circuit came
+// back with the same unitary up to phase (1e-9), the reset/measure and
+// autoencoder circuits with the same measured probability (1e-12). A
+// byte comparison keeps what those round trips pinned about the writer.
 TEST(QasmParse, RoundTripPreservesSemantics) {
     quorum::util::rng gen(7);
     for (int trial = 0; trial < 8; ++trial) {
@@ -127,120 +141,16 @@ TEST(QasmParse, RoundTripPreservesSemantics) {
                 break;
             }
         }
-        const circuit restored = from_qasm(to_qasm(original));
-        EXPECT_EQ(restored.num_qubits(), original.num_qubits());
-        EXPECT_TRUE(circuit_unitary(restored).equals_up_to_phase(
-            circuit_unitary(original), 1e-9));
+        EXPECT_EQ(to_qasm(original), fixture("random_seed7_" +
+                                             std::to_string(trial) + ".qasm"))
+            << "trial " << trial;
     }
 }
 
 TEST(QasmParse, RoundTripWithResetAndMeasure) {
     circuit original(2, 1);
     original.h(0).cx(0, 1).reset(0).ry(0.7, 0).measure(1, 0);
-    const circuit restored = from_qasm(to_qasm(original));
-    quorum::util::rng gen(9);
-    const double p_original =
-        statevector_runner::run_exact(original).cbit_probability_one(0);
-    const double p_restored =
-        statevector_runner::run_exact(restored).cbit_probability_one(0);
-    EXPECT_NEAR(p_original, p_restored, 1e-12);
-}
-
-TEST(QasmParse, PiExpressions) {
-    const circuit c = from_qasm("OPENQASM 2.0;\n"
-                                "include \"qelib1.inc\";\n"
-                                "qreg q[1];\n"
-                                "rz(pi/2) q[0];\n"
-                                "rx(-pi) q[0];\n"
-                                "ry(3*pi/4) q[0];\n");
-    ASSERT_EQ(c.gate_count(), 3u);
-    EXPECT_NEAR(c.ops()[0].params[0], pi / 2.0, 1e-12);
-    EXPECT_NEAR(c.ops()[1].params[0], -pi, 1e-12);
-    EXPECT_NEAR(c.ops()[2].params[0], 3.0 * pi / 4.0, 1e-12);
-}
-
-TEST(QasmParse, CommentsAndBlankLinesIgnored)  {
-    const circuit c = from_qasm("OPENQASM 2.0;\n"
-                                "// a comment line\n"
-                                "\n"
-                                "qreg q[2];\n"
-                                "x q[0]; // trailing comment\n");
-    EXPECT_EQ(c.gate_count(), 1u);
-}
-
-TEST(QasmParse, ErrorsCarryLineNumbers) {
-    try {
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n");
-        FAIL() << "expected parse error";
-    } catch (const quorum::util::contract_error& e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
-    }
-}
-
-TEST(QasmParse, RejectsMalformedPrograms) {
-    EXPECT_THROW((void)from_qasm("qreg q[2];\n"),
-                 quorum::util::contract_error); // no header
-    EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nx q[0];\n"),
-                 quorum::util::contract_error); // statement before qreg
-    EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[1];\nx q[0]\n"),
-                 quorum::util::contract_error); // missing semicolon
-    EXPECT_THROW((void)from_qasm(
-                     "OPENQASM 2.0;\nqreg q[1];\nrx(nonsense) q[0];\n"),
-                 quorum::util::contract_error); // bad angle
-    EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n"),
-                 quorum::util::contract_error); // wrong arity
-}
-
-TEST(QasmParse, WrongOperandCountRejected) {
-    EXPECT_THROW(
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[3];\nrx q[0];\n"),
-        quorum::util::contract_error); // rx needs a parameter
-}
-
-TEST(QasmParse, RejectsNonNumericIndices) {
-    // Regression: register indices used to go through std::atoi, which
-    // silently turned "x" into 0 — `creg c[x]` parsed as an empty
-    // classical register. All index tokens are now strictly parsed.
-    EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[x];\n"),
-                 quorum::util::contract_error); // qreg size
-    EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[2x];\n"),
-                 quorum::util::contract_error); // trailing garbage
-    EXPECT_THROW(
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[x];\n"),
-        quorum::util::contract_error); // creg size
-    EXPECT_THROW(
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\nx q[banana];\n"),
-        quorum::util::contract_error); // qubit operand
-    EXPECT_THROW(
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
-                        "measure q[0] -> c[x];\n"),
-        quorum::util::contract_error); // classical-bit index
-}
-
-TEST(QasmParse, IndexErrorsNameTheOffendingToken) {
-    try {
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
-                        "measure q[0] -> c[x];\n");
-        FAIL() << "expected parse error";
-    } catch (const quorum::util::contract_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'x'"), std::string::npos)
-            << "diagnostic should quote the bad token: " << what;
-        EXPECT_NE(what.find("line 4"), std::string::npos) << what;
-    }
-}
-
-TEST(QasmParse, RejectsOutOfRangeClassicalBit) {
-    try {
-        (void)from_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
-                        "measure q[0] -> c[5];\n");
-        FAIL() << "expected parse error";
-    } catch (const quorum::util::contract_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("classical-bit index 5"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("creg c[1]"), std::string::npos) << what;
-    }
+    EXPECT_EQ(to_qasm(original), fixture("reset_measure.qasm"));
 }
 
 } // namespace

@@ -72,6 +72,22 @@ TEST(Parse, RealConsumesWholeString) {
     EXPECT_FALSE(util::parse_real("0.5 ", value));
 }
 
+TEST(Parse, RealRejectsNonFiniteAndLeadingWhitespace) {
+    // strtod takes all of these; a flag such as --drift nan used to run.
+    double value = 0.25;
+    EXPECT_FALSE(util::parse_real("nan", value));
+    EXPECT_FALSE(util::parse_real("NaN", value));
+    EXPECT_FALSE(util::parse_real("inf", value));
+    EXPECT_FALSE(util::parse_real("-inf", value));
+    EXPECT_FALSE(util::parse_real("infinity", value));
+    EXPECT_FALSE(util::parse_real("1e999", value)) << "overflows to +inf";
+    EXPECT_FALSE(util::parse_real(" 0.5", value));
+    EXPECT_FALSE(util::parse_real("\t0.5", value));
+    EXPECT_EQ(value, 0.25) << "failed parses must not clobber the output";
+    EXPECT_TRUE(util::parse_real("1e308", value));
+    EXPECT_DOUBLE_EQ(value, 1e308);
+}
+
 TEST(Parse, IntAcceptsNegativesButNotGarbage) {
     int value = 0;
     EXPECT_TRUE(util::parse_int("-1", value));
@@ -85,6 +101,8 @@ TEST(Parse, IntAcceptsNegativesButNotGarbage) {
     EXPECT_FALSE(util::parse_int("banana", value));
     EXPECT_FALSE(util::parse_int("3banana", value));
     EXPECT_FALSE(util::parse_int("", value));
+    EXPECT_FALSE(util::parse_int(" 5", value)) << "strtol skips whitespace";
+    EXPECT_FALSE(util::parse_int("\n-1", value));
 }
 
 } // namespace

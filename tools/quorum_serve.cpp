@@ -37,11 +37,9 @@
 #include "exec/fleet.h"
 #include "exec/process_transport.h"
 #include "exec/registry.h"
-#include "exec/schedule.h"
 #include "exec/serve_client.h"
 #include "exec/tcp_transport.h"
-#include "qml/angle_encoding.h"
-#include "util/contracts.h"
+#include "flags.h"
 #include "util/net.h"
 #include "util/parse.h"
 
@@ -50,87 +48,24 @@ namespace {
 namespace core = quorum::core;
 namespace data = quorum::data;
 namespace exec = quorum::exec;
-namespace qml = quorum::qml;
+namespace tools = quorum::tools;
 namespace util = quorum::util;
 
 struct serve_options {
     std::string host = "127.0.0.1";
-    std::uint16_t port = 0;          ///< 0 = ephemeral (printed)
-    std::uint16_t registry_port = 0; ///< 0 = ephemeral (printed)
-    std::size_t workers = 2;         ///< locally spawned fleet workers
-    std::vector<util::endpoint> connect_workers; ///< --listen workers
+    std::uint16_t port = 0;
+    std::uint16_t registry_port = 0;
+    std::size_t workers = 2;
+    std::vector<util::endpoint> connect_workers;
     std::string backend = "auto";
     int rejoin_attempts = 5;
-    std::size_t max_requests = 0; ///< 0 = serve forever
+    std::size_t max_requests = 0;
     core::quorum_config config;
 };
 
 /// Caps a client can hit without it being a config error on our side.
 constexpr std::size_t max_request_rows = 100000;
 constexpr std::size_t max_request_cols = 4096;
-
-void print_usage() {
-    std::fprintf(
-        stderr,
-        "quorum_serve — persistent Quorum scoring daemon\n"
-        "\n"
-        "usage: quorum_serve [options]\n"
-        "  --port N              client port (default 0 = ephemeral; the\n"
-        "                        bound address is printed to stdout)\n"
-        "  --host H              bind address (default 127.0.0.1)\n"
-        "  --registry-port N     worker registration port (default 0)\n"
-        "  --workers N           spawn N local quorum_worker processes\n"
-        "                        that dial the registry (default 2)\n"
-        "  --connect-worker H:P  add a fleet lane to a running\n"
-        "                        `quorum_worker --listen` (repeatable)\n"
-        "  --backend B           inner backend each worker runs: auto |\n"
-        "                        statevector | density (default auto)\n"
-        "  --schedule S          span planning across the fleet: static\n"
-        "                        (one balanced span per lane) or\n"
-        "                        dynamic[:grain] (grain-sample spans the\n"
-        "                        lanes pull; absorbs skew). Scores are\n"
-        "                        identical either way (default static)\n"
-        "  --mode M              exact | sampled | per_shot | noisy\n"
-        "                        (default sampled)\n"
-        "  --encoding E          amplitude | angle (default amplitude)\n"
-        "  --groups N            ensemble groups (default 200)\n"
-        "  --shots N             shots per circuit (default 4096)\n"
-        "  --qubits N            data-register qubits (default 3)\n"
-        "  --rate R              estimated anomaly rate (default 0.03)\n"
-        "  --bucket-prob P       bucket probability target (default 0.75)\n"
-        "  --threads N           ensemble threads per request (default\n"
-        "                        all cores)\n"
-        "  --seed S              master seed (default 2025)\n"
-        "  --rejoin-attempts N   reconnect budget per worker death\n"
-        "                        (default 5)\n"
-        "  --max-requests N      exit after N scored requests (default\n"
-        "                        0 = serve forever)\n"
-        "\n"
-        "Protocol (one TCP connection = one session; see\n"
-        "docs/ARCHITECTURE.md):\n"
-        "  -> QSRV1 SCORE <rows> <cols>\\n + <rows> CSV feature lines\n"
-        "  <- QSRV1 OK <rows>\\n + <rows> score lines (%%.17g), or\n"
-        "     QSRV1 ERR <message>\\n\n");
-}
-
-// Strict shared helpers (util/parse.h): the old local strtoull version
-// silently wrapped "--workers -1" to 2^64 - 1.
-bool parse_count(const char* text, std::size_t& value) {
-    return text != nullptr && util::parse_count(text, value);
-}
-
-bool parse_real(const char* text, double& value) {
-    return text != nullptr && util::parse_real(text, value);
-}
-
-bool parse_port(const char* text, std::uint16_t& port) {
-    std::size_t value = 0;
-    if (!parse_count(text, value) || value > 65535) {
-        return false;
-    }
-    port = static_cast<std::uint16_t>(value);
-    return true;
-}
 
 /// Forks one local fleet worker that dials the registry. Called before
 /// any thread exists, so the child side may stay simple (no
@@ -204,9 +139,8 @@ void handle_client(util::unique_fd fd, serve_state& state) {
                 const std::string counts = line.substr(prefix.size());
                 const std::size_t space = counts.find(' ');
                 if (space == std::string::npos ||
-                    !parse_count(counts.substr(0, space).c_str(), rows) ||
-                    !parse_count(counts.substr(space + 1).c_str(),
-                                 cols) ||
+                    !util::parse_count(counts.substr(0, space), rows) ||
+                    !util::parse_count(counts.substr(space + 1), cols) ||
                     rows < 1 || rows > max_request_rows || cols < 1 ||
                     cols > max_request_cols) {
                     reply = tag + " ERR malformed request header\n";
@@ -398,120 +332,58 @@ int run(const serve_options& options) {
 int main(int argc, char** argv) {
     serve_options options;
     options.config.mode = core::exec_mode::sampled;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        auto next = [&]() -> const char* {
-            ++i;
-            return value;
-        };
-        bool ok = true;
-        if (arg == "--help" || arg == "-h") {
-            print_usage();
-            return 0;
-        } else if (arg == "--port") {
-            ok = value != nullptr && parse_port(next(), options.port);
-        } else if (arg == "--host") {
-            ok = value != nullptr;
-            if (ok) {
-                options.host = next();
-            }
-        } else if (arg == "--registry-port") {
-            ok = value != nullptr &&
-                 parse_port(next(), options.registry_port);
-        } else if (arg == "--workers") {
-            ok = value != nullptr && parse_count(next(), options.workers);
-        } else if (arg == "--connect-worker") {
-            ok = value != nullptr;
-            if (ok) {
-                try {
-                    options.connect_workers.push_back(
-                        quorum::util::parse_endpoint(next()));
-                } catch (const quorum::util::contract_error& error) {
-                    std::fprintf(stderr, "quorum_serve: %s\n",
-                                 error.what());
-                    return 2;
-                }
-            }
-        } else if (arg == "--backend") {
-            ok = value != nullptr;
-            if (ok) {
-                options.backend = next();
-            }
-        } else if (arg == "--schedule") {
-            ok = value != nullptr;
-            if (ok) {
-                options.config.schedule = next();
-                try {
-                    (void)exec::parse_schedule_spec(
-                        options.config.schedule);
-                } catch (const util::contract_error& error) {
-                    std::fprintf(stderr, "quorum_serve: %s\n",
-                                 error.what());
-                    return 2;
-                }
-            }
-        } else if (arg == "--mode") {
-            ok = value != nullptr &&
-                 core::parse_exec_mode(next(), options.config.mode);
-        } else if (arg == "--encoding") {
-            ok = value != nullptr &&
-                 qml::parse_encoding(next(), options.config.encoding);
-        } else if (arg == "--groups") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.ensemble_groups);
-        } else if (arg == "--shots") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.shots);
-        } else if (arg == "--qubits") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.n_qubits);
-        } else if (arg == "--rate") {
-            ok = value != nullptr &&
-                 parse_real(next(),
-                            options.config.estimated_anomaly_rate);
-        } else if (arg == "--bucket-prob") {
-            ok = value != nullptr &&
-                 parse_real(next(), options.config.bucket_probability);
-        } else if (arg == "--threads") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.threads);
-        } else if (arg == "--seed") {
-            std::size_t seed = 0;
-            ok = value != nullptr && parse_count(next(), seed);
-            options.config.seed = seed;
-        } else if (arg == "--rejoin-attempts") {
-            ok = value != nullptr &&
-                 util::parse_count(next(), options.rejoin_attempts);
-        } else if (arg == "--max-requests") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.max_requests);
-        } else {
-            std::fprintf(stderr, "quorum_serve: unknown option %s\n",
-                         arg.c_str());
-            print_usage();
-            return 2;
-        }
-        if (!ok) {
-            std::fprintf(stderr, "quorum_serve: bad value for %s\n",
-                         arg.c_str());
-            return 2;
-        }
+    tools::flag_table flags(
+        "quorum_serve",
+        "quorum_serve — persistent Quorum scoring daemon\n"
+        "\n"
+        "usage: quorum_serve [options]\n",
+        "Protocol (one TCP connection = one session; see\n"
+        "docs/ARCHITECTURE.md):\n"
+        "  -> QSRV1 SCORE <rows> <cols>\\n + <rows> CSV feature lines\n"
+        "  <- QSRV1 OK <rows>\\n + <rows> score lines (%.17g), or\n"
+        "     QSRV1 ERR <message>\\n\n");
+    flags.count("--port", "N",
+                "client port, 0 = ephemeral (the bound address is printed "
+                "to stdout)",
+                options.port);
+    flags.text("--host", "H", "bind address", options.host);
+    flags.count("--registry-port", "N",
+                "worker registration port, 0 = ephemeral",
+                options.registry_port);
+    flags.count("--workers", "N",
+                "local quorum_worker processes to spawn; they dial the "
+                "registry",
+                options.workers);
+    flags.choice("--connect-worker", "H:P",
+                 "add a fleet lane to a running `quorum_worker --listen` "
+                 "(repeatable)",
+                 [&options](const std::string& v) {
+                     options.connect_workers.push_back(util::parse_endpoint(v));
+                     return true;
+                 });
+    flags.text("--backend", "B",
+               "inner backend each worker runs: auto | statevector | density",
+               options.backend);
+    tools::add_scoring_flags(flags, options.config);
+    tools::add_threads_flag(flags, options.config);
+    flags.count("--rejoin-attempts", "N", "reconnect budget per worker death",
+                options.rejoin_attempts);
+    flags.count("--max-requests", "N",
+                "exit after N scored requests, 0 = serve forever",
+                options.max_requests);
+    if (const auto exit_code = flags.parse(argc, argv)) {
+        return *exit_code;
     }
     if (options.backend != "auto" &&
         (options.backend.find(':') != std::string::npos ||
          options.backend == "sharded" || options.backend == "remote" ||
          options.backend == "fleet")) {
-        std::fprintf(stderr,
-                     "quorum_serve: --backend must be a plain engine "
-                     "name (the fleet does the distribution)\n");
-        return 2;
+        return flags.usage_error("--backend must be a plain engine name (the "
+                                 "fleet does the distribution)");
     }
     if (options.workers + options.connect_workers.size() == 0) {
-        std::fprintf(stderr,
-                     "quorum_serve: a fleet needs at least one worker "
-                     "(--workers or --connect-worker)\n");
-        return 2;
+        return flags.usage_error("a fleet needs at least one worker "
+                                 "(--workers or --connect-worker)");
     }
     // Dead clients surface as write errors, not SIGPIPE; dead worker
     // children reap themselves.

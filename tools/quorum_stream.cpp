@@ -7,41 +7,8 @@
 // per-arrival scores plus push-latency percentiles. The demo stream
 // comes from data::generate_drifting_stream: clustered data whose
 // centres drift sinusoidally over time, with anomalies injected at the
-// target rate.
-//
-// Options:
-//   --input PATH          CSV whose rows arrive in order (else --demo)
-//   --scenario S          demo stream family: drift (drifting clusters,
-//                         default) or sensors (correlated multivariate
-//                         sensor bank with stuck/spike faults)
-//   --out PATH            scores CSV (default: quorum_stream_scores.csv;
-//                         --output is an alias)
-//   --label-column K      0/1 label column for evaluation (-1 = none)
-//   --no-header           input has no header row
-//   --samples N           demo stream length (default 256)
-//   --anomalies N         demo anomalies (default 10)
-//   --features N          demo raw features (default 8)
-//   --drift A             demo drift amplitude (default 0.12)
-//   --drift-period P      demo drift period in arrivals (default 160)
-//   --window N            sliding-window length (default 8)
-//   --rebucket N          arrivals per re-bucketing epoch (default 64)
-//   --groups N            ensemble groups (default 32)
-//   --shots N             shots per circuit (default 4096)
-//   --qubits N            register size (default 3)
-//   --rate R              estimated anomaly rate (default 0.03)
-//   --bucket-prob P       bucket containment probability (default 0.75)
-//   --mode M              exact | sampled | per_shot | noisy
-//                         (default sampled)
-//   --encoding E          amplitude | angle (default amplitude)
-//   --backend B           execution engine (default auto)
-//   --schedule S          span planning for wrapper backends: static or
-//                         dynamic[:grain] (identical scores; default
-//                         static)
-//   --no-fused            per-level evaluation instead of the fused
-//                         session (identical scores; A/B hatch)
-//   --seed S              master seed (default 2025)
-//   --top K               print the K strongest suspects (default 10)
-//   --help                this text
+// target rate. `quorum_stream --help` prints every flag with its
+// default; tools/README.md explains them.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -52,276 +19,85 @@
 
 #include "data/csv.h"
 #include "data/generators.h"
-#include "exec/registry.h"
+#include "flags.h"
 #include "metrics/confusion.h"
 #include "metrics/report.h"
 #include "metrics/roc.h"
 #include "qml/angle_encoding.h"
 #include "stream/stream_scorer.h"
-#include "util/parse.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace {
 
-struct cli_options {
-    std::string input;
-    std::string output = "quorum_stream_scores.csv";
-    int label_column = -1;
-    bool has_header = true;
-    bool demo = false;
-    std::size_t top = 10;
+/// The bundled demo stream.
+struct demo_options {
     std::string scenario = "drift";
-    std::size_t demo_samples = 256;
-    std::size_t demo_anomalies = 10;
-    std::size_t demo_features = 8;
+    std::size_t samples = 256;
+    std::size_t anomalies = 10;
+    std::size_t features = 8;
     double drift_amplitude = 0.12;
     double drift_period = 160.0;
-    quorum::stream::stream_config config;
 };
-
-void print_usage() {
-    std::cout <<
-        "quorum_stream — online Quorum anomaly scoring over a stream\n"
-        "\n"
-        "  quorum_stream --demo [--scenario drift|sensors] [--samples N]\n"
-        "                [--anomalies N] [--features N] [--drift A]\n"
-        "                [--drift-period P]\n"
-        "  quorum_stream --input data.csv [--label-column K] [--no-header]\n"
-        "  common: [--out scores.csv] [--window N] [--rebucket N]\n"
-        "          [--groups N] [--shots N] [--qubits N] [--rate R]\n"
-        "          [--bucket-prob P]\n"
-        "          [--mode exact|sampled|per_shot|noisy] [--backend B]\n"
-        "          [--encoding amplitude|angle]\n"
-        "          [--schedule static|dynamic[:grain]]\n"
-        "          [--no-fused] [--seed S] [--top K]\n"
-        "\n"
-        "registered backends:";
-    for (const std::string& name : quorum::exec::backend_names()) {
-        std::cout << " " << name;
-    }
-    std::cout << "\n";
-}
-
-// Strict flag parsing shared with the other tools (util/parse.h).
-using quorum::util::parse_count;
-using quorum::util::parse_int;
-using quorum::util::parse_real;
-
-bool parse_arguments(int argc, char** argv, cli_options& options) {
-    options.config.detector.ensemble_groups = 32;
-    options.config.detector.mode = quorum::core::exec_mode::sampled;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto next_count = [&](auto& out) -> bool {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (!parse_count(v, out)) {
-                std::cerr << "invalid value for " << arg << ": " << v
-                          << "\n";
-                return false;
-            }
-            return true;
-        };
-        const auto next_real = [&](double& out) -> bool {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (!parse_real(v, out)) {
-                std::cerr << "invalid value for " << arg << ": " << v
-                          << "\n";
-                return false;
-            }
-            return true;
-        };
-        if (arg == "--help" || arg == "-h") {
-            print_usage();
-            std::exit(0);
-        } else if (arg == "--demo") {
-            options.demo = true;
-        } else if (arg == "--no-header") {
-            options.has_header = false;
-        } else if (arg == "--input") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.input = v;
-        } else if (arg == "--out" || arg == "--output") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.output = v;
-        } else if (arg == "--label-column") {
-            const char* v = next();
-            if (v == nullptr || !parse_int(v, options.label_column)) {
-                if (v != nullptr) {
-                    std::cerr << "invalid value for " << arg << ": " << v
-                              << "\n";
-                }
-                return false;
-            }
-        } else if (arg == "--scenario") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (std::string(v) != "drift" && std::string(v) != "sensors") {
-                std::cerr << "unknown scenario: " << v
-                          << " (drift | sensors)\n";
-                return false;
-            }
-            options.scenario = v;
-        } else if (arg == "--samples") {
-            if (!next_count(options.demo_samples)) {
-                return false;
-            }
-        } else if (arg == "--anomalies") {
-            if (!next_count(options.demo_anomalies)) {
-                return false;
-            }
-        } else if (arg == "--features") {
-            if (!next_count(options.demo_features)) {
-                return false;
-            }
-        } else if (arg == "--drift") {
-            if (!next_real(options.drift_amplitude)) {
-                return false;
-            }
-        } else if (arg == "--drift-period") {
-            if (!next_real(options.drift_period)) {
-                return false;
-            }
-        } else if (arg == "--window") {
-            if (!next_count(options.config.window)) {
-                return false;
-            }
-        } else if (arg == "--rebucket") {
-            if (!next_count(options.config.rebucket_interval)) {
-                return false;
-            }
-        } else if (arg == "--groups") {
-            if (!next_count(options.config.detector.ensemble_groups)) {
-                return false;
-            }
-        } else if (arg == "--shots") {
-            if (!next_count(options.config.detector.shots)) {
-                return false;
-            }
-        } else if (arg == "--qubits") {
-            if (!next_count(options.config.detector.n_qubits)) {
-                return false;
-            }
-        } else if (arg == "--rate") {
-            if (!next_real(options.config.detector.estimated_anomaly_rate)) {
-                return false;
-            }
-        } else if (arg == "--bucket-prob") {
-            if (!next_real(options.config.detector.bucket_probability)) {
-                return false;
-            }
-        } else if (arg == "--no-fused") {
-            options.config.detector.fused_levels = false;
-        } else if (arg == "--seed") {
-            if (!next_count(options.config.detector.seed)) {
-                return false;
-            }
-        } else if (arg == "--top") {
-            if (!next_count(options.top)) {
-                return false;
-            }
-        } else if (arg == "--mode") {
-            const char* v = next();
-            if (v == nullptr ||
-                !quorum::core::parse_exec_mode(
-                    v, options.config.detector.mode)) {
-                std::cerr << "unknown mode\n";
-                return false;
-            }
-        } else if (arg == "--encoding") {
-            const char* v = next();
-            if (v == nullptr ||
-                !quorum::qml::parse_encoding(
-                    v, options.config.detector.encoding)) {
-                if (v != nullptr) {
-                    std::cerr << "unknown encoding: " << v
-                              << " (amplitude | angle)\n";
-                }
-                return false;
-            }
-        } else if (arg == "--backend") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.detector.backend = v;
-        } else if (arg == "--schedule") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.detector.schedule = v;
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            return false;
-        }
-    }
-    if (!options.demo && options.input.empty()) {
-        std::cerr << "either --input or --demo is required\n";
-        return false;
-    }
-    return true;
-}
-
-double percentile(std::vector<double> sorted_values, double q) {
-    std::sort(sorted_values.begin(), sorted_values.end());
-    if (sorted_values.empty()) {
-        return 0.0;
-    }
-    const double rank = q * static_cast<double>(sorted_values.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted_values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac;
-}
 
 } // namespace
 
 int main(int argc, char** argv) {
     using namespace quorum;
-    cli_options options;
-    try {
-        if (!parse_arguments(argc, argv, options)) {
-            print_usage();
-            return 2;
-        }
-    } catch (const std::exception& error) {
-        std::cerr << "bad option value: " << error.what() << "\n";
-        print_usage();
-        return 2;
+    tools::table_options options;
+    options.output = "quorum_stream_scores.csv";
+    demo_options demo;
+    stream::stream_config config;
+    config.detector.ensemble_groups = 32;
+    config.detector.mode = core::exec_mode::sampled;
+
+    tools::flag_table flags(
+        "quorum_stream",
+        "quorum_stream — online Quorum anomaly scoring over a stream\n"
+        "\n"
+        "usage: quorum_stream --demo [options]\n"
+        "       quorum_stream --input data.csv [options]\n",
+        tools::registered_backends_line());
+    tools::add_table_flags(flags, options, config.detector);
+    flags.choice("--scenario", "S",
+                 "demo stream: drift (drifting clusters) | sensors (a "
+                 "correlated sensor bank with stuck and spike faults)",
+                 [&demo](const std::string& v) {
+                     if (v != "drift" && v != "sensors") {
+                         return false;
+                     }
+                     demo.scenario = v;
+                     return true;
+                 },
+                 demo.scenario);
+    flags.count("--samples", "N", "demo stream length", demo.samples);
+    flags.count("--anomalies", "N", "demo anomalies", demo.anomalies);
+    flags.count("--features", "N", "demo raw features", demo.features);
+    flags.real("--drift", "A", "demo drift amplitude", demo.drift_amplitude);
+    flags.real("--drift-period", "P", "demo drift period in arrivals",
+               demo.drift_period);
+    flags.count("--window", "N", "sliding-window length", config.window);
+    flags.count("--rebucket", "N", "arrivals per re-bucketing epoch",
+                config.rebucket_interval);
+    tools::add_scoring_flags(flags, config.detector);
+    if (const auto exit_code = flags.parse(argc, argv)) {
+        return *exit_code;
+    }
+    if (!options.demo && options.input.empty()) {
+        return flags.usage_error("either --input or --demo is required");
     }
 
     try {
         data::dataset input;
         if (options.demo) {
-            util::rng gen(options.config.detector.seed);
-            if (options.scenario == "sensors") {
+            util::rng gen(config.detector.seed);
+            if (demo.scenario == "sensors") {
                 data::sensor_stream_spec spec;
                 spec.base.name = "sensor_stream";
-                spec.base.samples = options.demo_samples;
-                spec.base.anomalies = options.demo_anomalies;
-                spec.base.features = options.demo_features;
+                spec.base.samples = demo.samples;
+                spec.base.anomalies = demo.anomalies;
+                spec.base.features = demo.features;
                 input = data::generate_sensor_stream(spec, gen);
                 std::cout << "demo stream: " << input.num_samples()
                           << " arrivals from a " << input.num_features()
@@ -330,12 +106,12 @@ int main(int argc, char** argv) {
             } else {
                 data::stream_spec spec;
                 spec.base.name = "drifting_stream";
-                spec.base.samples = options.demo_samples;
-                spec.base.anomalies = options.demo_anomalies;
-                spec.base.features = options.demo_features;
+                spec.base.samples = demo.samples;
+                spec.base.anomalies = demo.anomalies;
+                spec.base.features = demo.features;
                 spec.base.anomaly_shift = 0.3;
-                spec.drift_amplitude = options.drift_amplitude;
-                spec.drift_period = options.drift_period;
+                spec.drift_amplitude = demo.drift_amplitude;
+                spec.drift_period = demo.drift_period;
                 input = data::generate_drifting_stream(spec, gen);
                 std::cout << "demo stream: " << input.num_samples()
                           << " arrivals, " << input.num_anomalies()
@@ -352,7 +128,7 @@ int main(int argc, char** argv) {
                       << " features from " << options.input << "\n";
         }
 
-        stream::stream_scorer scorer(options.config, input.num_features());
+        stream::stream_scorer scorer(config, input.num_features());
         const core::quorum_config& detector = scorer.config().detector;
         std::cout << "scoring: mode=" << core::exec_mode_name(detector.mode)
                   << " backend=" << detector.resolved_backend();
@@ -377,6 +153,10 @@ int main(int argc, char** argv) {
             runs[t] = verdict.runs;
         }
         const double elapsed = total.seconds();
+        const auto push_us = [&latencies_us](double q) {
+            return latencies_us.empty() ? 0.0
+                                        : util::quantile(latencies_us, q);
+        };
         std::cout << "streamed " << input.num_samples() << " arrivals in "
                   << metrics::table_printer::fmt(elapsed, 2) << "s ("
                   << metrics::table_printer::fmt(
@@ -384,11 +164,9 @@ int main(int argc, char** argv) {
                              std::max(elapsed, 1e-12),
                          1)
                   << "/s, push p50 "
-                  << metrics::table_printer::fmt(
-                         percentile(latencies_us, 0.50), 1)
+                  << metrics::table_printer::fmt(push_us(0.50), 1)
                   << "us, p99 "
-                  << metrics::table_printer::fmt(
-                         percentile(latencies_us, 0.99), 1)
+                  << metrics::table_printer::fmt(push_us(0.99), 1)
                   << "us)\n\n";
 
         std::vector<std::size_t> ranking(scores.size());

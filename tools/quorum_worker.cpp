@@ -24,17 +24,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "exec/wire.h"
 #include "exec/serialise.h"
-#include "util/contracts.h"
+#include "exec/wire.h"
+#include "flags.h"
 #include "util/net.h"
-#include "util/parse.h"
 
 namespace {
 
@@ -131,34 +132,7 @@ channel_outcome serve_channel(int in_fd, int out_fd) {
     }
 }
 
-void print_usage() {
-    std::fprintf(
-        stderr,
-        "quorum_worker — remote execution worker (protocol version %u)\n"
-        "\n"
-        "Speaks the Quorum wire protocol; spawned by the remote:<backend>\n"
-        "execution engine or run as a TCP fleet worker. Not an\n"
-        "interactive tool.\n"
-        "\n"
-        "  (no flags)            serve the protocol on stdin/stdout\n"
-        "  --listen [host:]port  serve any number of TCP clients\n"
-        "                        (port 0 = ephemeral; the bound address\n"
-        "                        is printed to stdout)\n"
-        "  --connect host:port   dial a coordinator (quorum_serve\n"
-        "                        registry) and serve that channel\n"
-        "  --retry N             with --connect: re-dial up to N times\n"
-        "                        after a failed connect or a disconnect\n"
-        "                        (rejoin); default 0\n"
-        "  --retry-delay-ms D    pause between re-dials (default 200)\n"
-        "  --version             print the protocol version\n",
-        quorum::exec::wire::protocol_version);
-}
-
 int run_stdio() {
-    if (::isatty(STDIN_FILENO) != 0) {
-        print_usage();
-        return 2;
-    }
     switch (serve_channel(STDIN_FILENO, STDOUT_FILENO)) {
     case channel_outcome::clean_eof:
     case channel_outcome::shutdown:
@@ -229,84 +203,70 @@ int run_connect(const quorum::util::endpoint& where, int retries,
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string listen_arg;
-    std::string connect_arg;
+    std::optional<quorum::util::endpoint> listen_at;
+    std::optional<quorum::util::endpoint> connect_to;
     int retries = 0;
     int retry_delay_ms = 200;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--help" || arg == "-h") {
-            print_usage();
-            return 0;
-        }
-        if (arg == "--version") {
-            std::fprintf(stdout, "%u\n",
-                         quorum::exec::wire::protocol_version);
-            return 0;
-        }
-        if (arg == "--listen" && value != nullptr) {
-            listen_arg = value;
-            ++i;
-            continue;
-        }
-        if (arg == "--connect" && value != nullptr) {
-            connect_arg = value;
-            ++i;
-            continue;
-        }
-        // Strict parse: std::atoi would turn "--retry banana" into 0 and
-        // accept negatives; parse_count rejects both (and overflow).
-        if (arg == "--retry" && value != nullptr) {
-            if (!quorum::util::parse_count(value, retries)) {
-                std::fprintf(stderr,
-                             "quorum_worker: invalid value for "
-                             "--retry: %s\n",
-                             value);
-                return 2;
-            }
-            ++i;
-            continue;
-        }
-        if (arg == "--retry-delay-ms" && value != nullptr) {
-            if (!quorum::util::parse_count(value, retry_delay_ms)) {
-                std::fprintf(stderr,
-                             "quorum_worker: invalid value for "
-                             "--retry-delay-ms: %s\n",
-                             value);
-                return 2;
-            }
-            ++i;
-            continue;
-        }
-        std::fprintf(stderr, "quorum_worker: unknown option %s\n",
-                     arg.c_str());
-        print_usage();
-        return 2;
+    bool version = false;
+    const auto endpoint = [](std::optional<quorum::util::endpoint>& out) {
+        return [&out](const std::string& v) {
+            out = quorum::util::parse_endpoint(v);
+            return true;
+        };
+    };
+    quorum::tools::flag_table flags(
+        "quorum_worker",
+        "quorum_worker — remote execution worker (protocol version " +
+            std::to_string(quorum::exec::wire::protocol_version) +
+            ")\n"
+            "\n"
+            "Speaks the Quorum wire protocol; spawned by the remote:<backend>\n"
+            "execution engine or run as a TCP fleet worker. Not an\n"
+            "interactive tool: with no flags it serves the protocol on\n"
+            "stdin/stdout.\n");
+    flags.toggle("--version", "print the protocol version and exit", version);
+    flags.choice("--listen", "[HOST:]PORT",
+                 "serve any number of TCP clients (port 0 = ephemeral; the "
+                 "bound address is printed to stdout)",
+                 endpoint(listen_at));
+    flags.choice("--connect", "HOST:PORT",
+                 "dial a coordinator (the quorum_serve registry) and serve "
+                 "that channel",
+                 endpoint(connect_to));
+    flags.count("--retry", "N",
+                "with --connect: re-dial up to N times after a failed "
+                "connect or a disconnect (rejoin)",
+                retries);
+    flags.count("--retry-delay-ms", "D", "pause between re-dials",
+                retry_delay_ms);
+    if (const auto exit_code = flags.parse(argc, argv)) {
+        return *exit_code;
     }
-    if (!listen_arg.empty() && !connect_arg.empty()) {
-        std::fprintf(stderr,
-                     "quorum_worker: --listen and --connect are "
-                     "mutually exclusive\n");
-        return 2;
+    if (version) {
+        std::fprintf(stdout, "%u\n", quorum::exec::wire::protocol_version);
+        return 0;
+    }
+    if (listen_at && connect_to) {
+        return flags.usage_error("--listen and --connect are mutually "
+                                 "exclusive");
     }
     // A client that dies mid-reply must surface as a write error, not
     // kill the worker with SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
     try {
-        if (!listen_arg.empty()) {
-            return run_listen(quorum::util::parse_endpoint(listen_arg));
+        if (listen_at) {
+            return run_listen(*listen_at);
         }
-        if (!connect_arg.empty()) {
-            return run_connect(quorum::util::parse_endpoint(connect_arg),
-                               retries, retry_delay_ms);
+        if (connect_to) {
+            return run_connect(*connect_to, retries, retry_delay_ms);
         }
-    } catch (const quorum::util::contract_error& error) {
-        std::fprintf(stderr, "quorum_worker: %s\n", error.what());
-        return 2; // malformed endpoint: bad invocation, not a runtime loss
     } catch (const std::exception& error) {
         std::fprintf(stderr, "quorum_worker: %s\n", error.what());
         return 1;
+    }
+    if (::isatty(STDIN_FILENO) != 0) {
+        flags.print_usage(std::cerr);
+        return 2;
     }
     return run_stdio();
 }
