@@ -19,14 +19,17 @@
 namespace quorum::bench {
 
 /// Multiplier from QUORUM_BENCH_SCALE (default 1.0, clamped to [0.05, 100]).
+/// A value that is not a positive finite number (util::parse_real) exits
+/// 2 naming the variable.
 inline double bench_scale() {
     const char* raw = std::getenv("QUORUM_BENCH_SCALE");
     if (raw == nullptr) {
         return 1.0;
     }
-    const double parsed = std::strtod(raw, nullptr);
-    if (parsed <= 0.0) {
-        return 1.0;
+    double parsed = 0.0;
+    if (!util::parse_real(raw, parsed) || parsed <= 0.0) {
+        std::fprintf(stderr, "bad value '%s' for QUORUM_BENCH_SCALE\n", raw);
+        std::exit(2);
     }
     return std::clamp(parsed, 0.05, 100.0);
 }

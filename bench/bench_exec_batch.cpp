@@ -247,9 +247,21 @@ void bm_suffix_fused(benchmark::State& state) {
 }
 BENCHMARK(bm_suffix_fused);
 
-/// The Table-I family (3 qubits, 2 layers, levels {1, 2}, 4096 shots,
-/// sampled unless `mode` says otherwise) over `batch` samples with
-/// per-(sample, level) streams.
+/// The Table-I family (3 qubits, 2 layers, levels {1, 2}) of `params`.
+std::vector<exec::program> table_family(const qml::ansatz_params& params) {
+    std::vector<exec::program> family;
+    for (const std::size_t level : {1, 2}) {
+        exec::program program;
+        program.circuit = qsim::compiled_program::compile(
+            qml::autoencoder_reg_a_template(params, level));
+        program.readout.kind = exec::readout_kind::prep_overlap_p1;
+        family.push_back(std::move(program));
+    }
+    return family;
+}
+
+/// The Table-I family (4096 shots, sampled unless `mode` says otherwise)
+/// over `batch` samples with per-(sample, level) streams.
 struct family_workload {
     std::unique_ptr<exec::executor> engine;
     std::vector<exec::program> family;
@@ -259,20 +271,14 @@ struct family_workload {
     std::vector<exec::sample> samples;
 
     explicit family_workload(std::size_t batch,
-                             exec::sampling mode = exec::sampling::binomial) {
+                             exec::sampling mode = exec::sampling::binomial,
+                             std::size_t shots = 4096) {
         exec::engine_config config;
         config.sampling_mode = mode;
-        config.shots = 4096;
+        config.shots = shots;
         engine = exec::make_executor("statevector", config);
         util::rng gen(17);
-        const qml::ansatz_params params = qml::random_ansatz_params(3, 2, gen);
-        for (const std::size_t level : {1, 2}) {
-            exec::program program;
-            program.circuit = qsim::compiled_program::compile(
-                qml::autoencoder_reg_a_template(params, level));
-            program.readout.kind = exec::readout_kind::prep_overlap_p1;
-            family.push_back(std::move(program));
-        }
+        family = table_family(qml::random_ansatz_params(3, 2, gen));
         amplitudes.resize(batch);
         gens.reserve(2 * batch);
         for (std::size_t i = 0; i < batch; ++i) {
@@ -331,6 +337,60 @@ void bm_family_per_sample(benchmark::State& state) {
                             static_cast<std::int64_t>(batch));
 }
 BENCHMARK(bm_family_per_sample)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(40);
+
+/// The stream's traffic: `groups` Table-I families with distinct angles
+/// (ensemble groups), one sample each, sampled at 1024 shots. Sample g
+/// goes through family g.
+struct group_workload : family_workload {
+    std::vector<std::vector<exec::program>> families;
+
+    explicit group_workload(std::size_t groups)
+        : family_workload(groups, exec::sampling::binomial, 1024) {
+        for (std::size_t g = 0; g < groups; ++g) {
+            util::rng gen(util::derive_seed(23, g));
+            families.push_back(
+                table_family(qml::random_ansatz_params(3, 2, gen)));
+        }
+    }
+};
+
+/// Every group in one group-session call: lane blocks of eight families.
+void bm_group_lanes(benchmark::State& state) {
+    const auto groups = static_cast<std::size_t>(state.range(0));
+    group_workload w(groups);
+    const auto session = w.engine->make_group_session(w.families);
+    std::vector<double> out(2 * groups);
+    for (auto _ : state) {
+        session->run(w.samples, out);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(groups));
+}
+BENCHMARK(bm_group_lanes)->Arg(8)->Arg(32);
+
+/// The same groups through one level session each, one call per group:
+/// the per-sample replay.
+void bm_group_per_family(benchmark::State& state) {
+    const auto groups = static_cast<std::size_t>(state.range(0));
+    group_workload w(groups);
+    std::vector<std::unique_ptr<exec::level_session>> sessions;
+    for (const std::vector<exec::program>& family : w.families) {
+        sessions.push_back(w.engine->make_level_session(family));
+    }
+    std::vector<double> out(2 * groups);
+    const std::span<const exec::sample> samples = w.samples;
+    for (auto _ : state) {
+        for (std::size_t g = 0; g < groups; ++g) {
+            sessions[g]->run(samples.subspan(g, 1),
+                             std::span(out).subspan(2 * g, 2));
+        }
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(groups));
+}
+BENCHMARK(bm_group_per_family)->Arg(8)->Arg(32);
 
 /// The sampler's inputs: the exact readouts of the family workload, 128
 /// samples at both levels.

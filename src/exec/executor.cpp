@@ -35,6 +35,38 @@ private:
     std::vector<program> family_;
 };
 
+/// The base group session: one level session per family, run in family
+/// order with one sample each.
+class per_family_group_session final : public group_session {
+public:
+    per_family_group_session(const executor& engine,
+                             std::vector<std::vector<program>> families) {
+        QUORUM_EXPECTS_MSG(!families.empty(),
+                           "a group session needs at least one family");
+        levels_ = families.front().size();
+        sessions_.reserve(families.size());
+        for (std::vector<program>& family : families) {
+            QUORUM_EXPECTS_MSG(family.size() == levels_,
+                               "the families of a group session must share "
+                               "one level count");
+            sessions_.push_back(engine.make_level_session(std::move(family)));
+        }
+    }
+
+    void run(std::span<const sample> samples,
+             std::span<double> out) override {
+        validate_group_batch(sessions_.size(), levels_, samples, out);
+        for (std::size_t g = 0; g < sessions_.size(); ++g) {
+            sessions_[g]->run(samples.subspan(g, 1),
+                              out.subspan(g * levels_, levels_));
+        }
+    }
+
+private:
+    std::vector<std::unique_ptr<level_session>> sessions_;
+    std::size_t levels_ = 0;
+};
+
 } // namespace
 
 std::size_t resolve_lane_count(std::size_t configured,
@@ -90,6 +122,12 @@ executor::make_level_session(std::vector<program> family) const {
     return std::make_unique<replay_level_session>(*this, std::move(family));
 }
 
+std::unique_ptr<group_session> executor::make_group_session(
+    std::vector<std::vector<program>> families) const {
+    return std::make_unique<per_family_group_session>(*this,
+                                                      std::move(families));
+}
+
 void validate_batch(const program& prog, std::span<const sample> samples,
                     std::span<double> out, bool needs_rng) {
     QUORUM_EXPECTS_MSG(out.size() == samples.size(),
@@ -118,11 +156,13 @@ void validate_batch(const program& prog, std::span<const sample> samples,
 void validate_level_batch(std::span<const program> levels,
                           std::span<const sample> samples,
                           std::span<double> out, bool needs_rng) {
+    validate_level_family(levels);
+    validate_level_samples(levels, samples, out, needs_rng);
+}
+
+void validate_level_family(std::span<const program> levels) {
     QUORUM_EXPECTS_MSG(!levels.empty(),
                        "run_batch_levels needs at least one level program");
-    QUORUM_EXPECTS_MSG(out.size() == samples.size() * levels.size(),
-                       "run_batch_levels output span must be samples x "
-                       "levels");
     // A level family must share its whole per-sample head — the SAME prep
     // slots (qubit lists, not just counts) and the SAME parameterized
     // prefix ops — because fused implementations prepare one state from
@@ -150,6 +190,14 @@ void validate_level_batch(std::span<const program> levels,
                            "all programs of a level family must share one "
                            "prep-slot layout and parameterized prefix");
     }
+}
+
+void validate_level_samples(std::span<const program> levels,
+                            std::span<const sample> samples,
+                            std::span<double> out, bool needs_rng) {
+    QUORUM_EXPECTS_MSG(out.size() == samples.size() * levels.size(),
+                       "run_batch_levels output span must be samples x "
+                       "levels");
     // Per-sample shapes (amplitudes, prefix params) are identical across
     // the family, so checking against the first level covers every level;
     // rng streams are per level and checked here instead.
@@ -169,6 +217,16 @@ void validate_level_batch(std::span<const program> levels,
                            "sample level_gens count must match the level "
                            "count");
     }
+}
+
+void validate_group_batch(std::size_t families, std::size_t levels,
+                          std::span<const sample> samples,
+                          std::span<double> out) {
+    QUORUM_EXPECTS_MSG(samples.size() == families,
+                       "a group session takes one sample per family");
+    QUORUM_EXPECTS_MSG(out.size() == families * levels,
+                       "group session output span must be families x "
+                       "levels");
 }
 
 } // namespace quorum::exec

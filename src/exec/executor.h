@@ -161,6 +161,30 @@ protected:
     level_session() = default;
 };
 
+/// A persistent session over several program families of one level count
+/// L — the stream's ensemble groups, one family each — that evaluates one
+/// sample per family per call. Family g's results are EQUAL (IEEE ==) to
+/// a one-sample level session over family g; a backend may evaluate the
+/// families together (the statevector backend replays them side by side
+/// in lanes). Not thread-safe; the engine that created a session must
+/// outlive it.
+class group_session {
+public:
+    virtual ~group_session() = default;
+
+    group_session(const group_session&) = delete;
+    group_session& operator=(const group_session&) = delete;
+
+    /// Evaluates samples[g] through family g for every family, family-
+    /// major: out[g * L + k] = readout of level k of family g. Takes
+    /// exactly one sample per family.
+    virtual void run(std::span<const sample> samples,
+                     std::span<double> out) = 0;
+
+protected:
+    group_session() = default;
+};
+
 /// Abstract execution engine. Implementations are registered with the
 /// backend registry (exec/registry.h) and selected by name.
 class executor {
@@ -223,6 +247,15 @@ public:
     [[nodiscard]] virtual std::unique_ptr<level_session>
     make_level_session(std::vector<program> family) const;
 
+    /// Creates a persistent session over `families`, which must be non-
+    /// empty and share one level count (see group_session). The base
+    /// implementation opens one make_level_session per family and runs
+    /// them in family order, so a backend or decorator that does not
+    /// override it evaluates the families one session call each. The
+    /// engine must outlive the session.
+    [[nodiscard]] virtual std::unique_ptr<group_session>
+    make_group_session(std::vector<std::vector<program>> families) const;
+
 protected:
     executor() = default;
 };
@@ -252,6 +285,21 @@ void validate_batch(const program& prog, std::span<const sample> samples,
 void validate_level_batch(std::span<const program> levels,
                           std::span<const sample> samples,
                           std::span<double> out, bool needs_rng);
+
+/// validate_level_batch in two halves, for sessions, whose family is
+/// fixed: the family's shape (checked once, at creation) and the batch
+/// against an accepted family (checked per call).
+void validate_level_family(std::span<const program> levels);
+void validate_level_samples(std::span<const program> levels,
+                            std::span<const sample> samples,
+                            std::span<double> out, bool needs_rng);
+
+/// The group_session::run analogue: one sample per family and an output
+/// span of families * levels. Each family's sample is checked by the
+/// family's own level batch. Throws util::contract_error on violations.
+void validate_group_batch(std::size_t families, std::size_t levels,
+                          std::span<const sample> samples,
+                          std::span<double> out);
 
 } // namespace quorum::exec
 

@@ -424,8 +424,8 @@ void apply_fused_unitary(statevector& state, const fused_op& op,
 
 /// Everything the fused multi-level path precomputes per FAMILY: one
 /// program_plan per level, fork points, the shared-decoder-tail flag and
-/// the scratch size. run_batch_levels builds one per call; a
-/// level_session builds one at creation and keeps it.
+/// the scratch size. run_batch_levels builds one per call; a level or
+/// group session builds one per family at creation and keeps it.
 struct family_plan {
     std::vector<program_plan> plans;
     /// fork[k] = number of leading suffix ops level k shares with level
@@ -443,9 +443,9 @@ struct family_plan {
 };
 
 /// Lane replay (ARCHITECTURE.md Layer 4). A block of at least lane_cutoff
-/// samples replays in lanes; smaller remainders replay per sample, and so
-/// does the stream's one-sample session call: one sample in a padded lane
-/// block measured no faster than alone, two already 1.7x faster
+/// samples (or a group session's groups) replays in lanes; smaller
+/// remainders replay per sample: one sample in a padded lane block
+/// measured no faster than alone, two already 1.7x faster
 /// (bench_exec_batch: bm_family_lanes vs bm_family_per_sample).
 constexpr std::size_t lane_cutoff = 2;
 
@@ -461,6 +461,29 @@ bool lane_gate(const compiled_op& compiled) {
            (op.gate == gate_kind::id || op.gate == gate_kind::x ||
             op.gate == gate_kind::cx ||
             (op.qubits.size() == 1 && compiled.matrix.rows() == 2));
+}
+
+/// True when a lane block applies the lane gate `compiled` through its
+/// 1q matrix (not a fast path).
+bool lane_matrix_gate(const compiled_op& compiled) {
+    const gate_kind gate = compiled.op.gate;
+    return compiled.op.kind == op_kind::gate && gate != gate_kind::id &&
+           gate != gate_kind::x && gate != gate_kind::cx;
+}
+
+/// True when a lane block applies the lane-covered ops `a` and `b` alike
+/// but for a 1q gate's matrix: the same kind, gate class (id, x, cx or a
+/// 1q matrix) and qubits.
+bool same_lane_op(const compiled_op& a, const compiled_op& b) {
+    if (a.op.kind != b.op.kind) {
+        return false;
+    }
+    if (a.op.kind == op_kind::barrier) {
+        return true;
+    }
+    return a.op.qubits == b.op.qubits &&
+           (a.op.kind != op_kind::gate || a.op.gate == b.op.gate ||
+            (lane_matrix_gate(a) && lane_matrix_gate(b)));
 }
 
 /// The branch count a lane replay of the family ends with, or 0 when the
@@ -538,9 +561,118 @@ family_plan plan_family(std::span<const program> levels, sampling mode) {
     return family;
 }
 
-/// Applies one lane-covered gate to every lane over rows [0, rows).
+/// The ops a lane block applies for a lane-covered family, in its order:
+/// the adjoint decoder tail on chi, then each level's body past the
+/// previous level's.
+std::vector<const compiled_op*> lane_ops(std::span<const program> levels,
+                                         const family_plan& family) {
+    std::vector<const compiled_op*> ops;
+    for (const compiled_op& compiled : family.plans[0].tail.adjoint_ops) {
+        ops.push_back(&compiled);
+    }
+    std::size_t pos = 0;
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+        for (; pos < family.plans[k].body_end; ++pos) {
+            ops.push_back(&levels[k].circuit.suffix()[pos]);
+        }
+    }
+    return ops;
+}
+
+/// Per-lane matrices for one lane block of several families: one entry
+/// per 1q-matrix op, in lane_ops order.
+using lane_matrix_table = std::vector<qsim::kernels::lane_1q_matrices>;
+
+/// The lane blocks of a group session over `families`: block b holds
+/// families [b * lane_width, (b + 1) * lane_width), family first + l in
+/// lane l and the block's first family in its spare lanes. Returns one
+/// table per block, or none when the families do not share one lane
+/// shape: every family lane-covered, with the same register, prep
+/// offsets, level count and level ends, and op by op (lane_ops) the same
+/// kind, gate class and qubits.
+std::vector<lane_matrix_table>
+group_lane_tables(std::span<const std::vector<program>> families,
+                  std::span<const family_plan> plans) {
+    const std::vector<program>& head = families[0];
+    const family_plan& shape = plans[0];
+    if (shape.lane_slots == 0) {
+        return {};
+    }
+    const std::vector<const compiled_op*> shape_ops = lane_ops(head, shape);
+    std::vector<std::vector<const compiled_op*>> ops(families.size());
+    for (std::size_t g = 0; g < families.size(); ++g) {
+        const std::vector<program>& family = families[g];
+        bool same = plans[g].lane_slots == shape.lane_slots &&
+                    family.size() == head.size() &&
+                    family[0].circuit.num_qubits() ==
+                        head[0].circuit.num_qubits() &&
+                    family[0].circuit.slots()[0].offsets ==
+                        head[0].circuit.slots()[0].offsets;
+        for (std::size_t k = 0; same && k < family.size(); ++k) {
+            same = plans[g].plans[k].body_end == shape.plans[k].body_end;
+        }
+        if (same) {
+            ops[g] = lane_ops(family, plans[g]);
+            same = ops[g].size() == shape_ops.size();
+        }
+        for (std::size_t i = 0; same && i < shape_ops.size(); ++i) {
+            same = same_lane_op(*ops[g][i], *shape_ops[i]);
+        }
+        if (!same) {
+            return {};
+        }
+    }
+    constexpr std::size_t width = qsim::kernels::lane_width;
+    const auto matrix_ops = static_cast<std::size_t>(
+        std::count_if(shape_ops.begin(), shape_ops.end(),
+                      [](const compiled_op* op) {
+                          return lane_matrix_gate(*op);
+                      }));
+    std::vector<lane_matrix_table> tables;
+    for (std::size_t first = 0; first < families.size(); first += width) {
+        lane_matrix_table table(matrix_ops);
+        for (std::size_t lane = 0; lane < width; ++lane) {
+            const std::size_t g =
+                first + lane < families.size() ? first + lane : first;
+            std::size_t entry = 0;
+            for (const compiled_op* op : ops[g]) {
+                if (lane_matrix_gate(*op)) {
+                    table[entry++].set(lane, op->matrix.data().data());
+                }
+            }
+        }
+        tables.push_back(std::move(table));
+    }
+    return tables;
+}
+
+/// The 1q matrices of a lane block whose lanes share one family (a
+/// bucket): every lane applies the op's own.
+struct shared_lane_matrices {
+    void apply(double* re, double* im, std::size_t rows,
+               const compiled_op& compiled) {
+        qsim::kernels::lanes_1q(re, im, rows, compiled.matrix.data().data(),
+                                compiled.op.qubits[0]);
+    }
+};
+
+/// The 1q matrices of a group block: each lane applies its own family's,
+/// read from the block's table in lane_ops order.
+struct per_lane_matrices {
+    const qsim::kernels::lane_1q_matrices* next;
+
+    void apply(double* re, double* im, std::size_t rows,
+               const compiled_op& compiled) {
+        qsim::kernels::lanes_1q_each(re, im, rows, *next++,
+                                     compiled.op.qubits[0]);
+    }
+};
+
+/// Applies one lane-covered gate to every lane over rows [0, rows), a 1q
+/// matrix through `matrices`.
+template <typename Matrices>
 void apply_lane_gate(double* re, double* im, std::size_t rows,
-                     const compiled_op& compiled) {
+                     const compiled_op& compiled, Matrices& matrices) {
     const operation& op = compiled.op;
     switch (op.gate) {
     case gate_kind::id:
@@ -552,27 +684,34 @@ void apply_lane_gate(double* re, double* im, std::size_t rows,
         qsim::kernels::lanes_cx(re, im, rows, op.qubits[0], op.qubits[1]);
         return;
     default:
-        qsim::kernels::lanes_1q(re, im, rows, compiled.matrix.data().data(),
-                                op.qubits[0]);
+        matrices.apply(re, im, rows, compiled);
         return;
     }
 }
 
-/// Replays samples [first, first + count) of a lane-covered family as one
-/// lane block, count <= lane_width, writing out[] as the per-sample
-/// replay does. Each lane does what replay_sample does for a nested
-/// family, in the same order: the prepared state and chi = D†|psi>, the
-/// nested level bodies with every reset branch in a fixed slot (2s for
-/// outcome 0 and 2s + 1 for outcome 1 of slot s, so the alive slots come
-/// in the per-sample path's branch order), and per level the overlap
-/// readout. Spare lanes replay the block's first sample and are dropped.
-/// Binomial draws come last, sample by sample and level by level, as the
-/// per-sample path makes them.
+/// Replays rows [first, first + count) of a batch as one lane block,
+/// count <= lane_width, writing out[] as the per-sample replay does: lane
+/// l evaluates samples[first + l], drawing from that sample's level_gens.
+/// Every lane runs the ops of `levels`; its 1q matrices come from
+/// `matrices`, `levels`' own for a bucket of one family or lane l's
+/// family's for a block of a group session (see group_lane_tables). The
+/// two are template arguments, so a bucket block makes the same kernel
+/// calls with or without group sessions. Each lane does what
+/// replay_sample does for a nested family, in the same order: the
+/// prepared state and chi = D†|psi>, the nested level bodies with every
+/// reset branch in a fixed slot (2s for outcome 0 and 2s + 1 for outcome
+/// 1 of slot s, so the alive slots come in the per-sample path's branch
+/// order), and per level the overlap readout. Spare lanes replay the
+/// block's first sample and are dropped. Binomial draws come last,
+/// sample by sample and level by level, as the per-sample path makes
+/// them.
+template <typename Matrices>
 void run_lane_block(const engine_config& config,
                     std::span<const program> levels,
-                    const family_plan& family, lane_buffers& lanes,
-                    std::span<const sample> samples, std::size_t first,
-                    std::size_t count, std::span<double> out) {
+                    const family_plan& family, Matrices matrices,
+                    lane_buffers& lanes, std::span<const sample> samples,
+                    std::size_t first, std::size_t count,
+                    std::span<double> out) {
     constexpr std::size_t width = qsim::kernels::lane_width;
     const std::size_t level_count = levels.size();
     const compiled_program& head = levels[0].circuit;
@@ -612,7 +751,7 @@ void run_lane_block(const engine_config& config,
         alive[lane] = ~std::uint64_t{0};
     }
     for (const compiled_op& compiled : family.plans[0].tail.adjoint_ops) {
-        apply_lane_gate(chi_re, chi_im, dim, compiled);
+        apply_lane_gate(chi_re, chi_im, dim, compiled, matrices);
     }
 
     std::size_t slots = 1;
@@ -626,7 +765,7 @@ void run_lane_block(const engine_config& config,
                                            alive);
                 slots *= 2;
             } else if (compiled.op.kind == op_kind::gate) {
-                apply_lane_gate(re, im, slots * dim, compiled);
+                apply_lane_gate(re, im, slots * dim, compiled, matrices);
             }
         }
         qsim::kernels::lanes_overlap(chi_re, chi_im, re, im, dim, slots,
@@ -716,8 +855,8 @@ void replay_sample(const engine_config& config,
 /// blocks of lane_width samples replay in lanes while at least
 /// lane_cutoff samples remain (lane-covered families on the AVX2 kernels
 /// only), the rest per sample. Bit-identical to per-level run_batch
-/// either way, and allocation-free across calls once `buffers` is warm —
-/// the property level_session exposes to the streaming scorer.
+/// either way, and allocation-free across calls once `buffers` is warm,
+/// which the sessions keep across run() calls.
 void run_family_planned(const engine_config& config,
                         std::span<const program> levels,
                         const family_plan& family, replay_buffers& buffers,
@@ -730,8 +869,8 @@ void run_family_planned(const engine_config& config,
         while (samples.size() - first >= lane_cutoff) {
             const std::size_t block =
                 std::min(qsim::kernels::lane_width, samples.size() - first);
-            run_lane_block(config, levels, family, buffers.lanes, samples,
-                           first, block, out);
+            run_lane_block(config, levels, family, shared_lane_matrices{},
+                           buffers.lanes, samples, first, block, out);
             first += block;
         }
     }
@@ -749,7 +888,8 @@ public:
     statevector_level_session(engine_config config,
                               std::vector<program> family)
         : config_(std::move(config)), family_(std::move(family)),
-          plan_(plan_family(family_, config_.sampling_mode)) {}
+          plan_((validate_level_family(family_),
+                 plan_family(family_, config_.sampling_mode))) {}
 
     [[nodiscard]] std::span<const program> family() const noexcept override {
         return family_;
@@ -757,8 +897,8 @@ public:
 
     void run(std::span<const sample> samples,
              std::span<double> out) override {
-        validate_level_batch(family_, samples, out,
-                             config_.sampling_mode != sampling::exact);
+        validate_level_samples(family_, samples, out,
+                               config_.sampling_mode != sampling::exact);
         run_family_planned(config_, family_, plan_, buffers_, samples, out);
     }
 
@@ -766,6 +906,72 @@ private:
     engine_config config_;
     std::vector<program> family_;
     family_plan plan_;
+    replay_buffers buffers_;
+};
+
+/// The statevector group session (ARCHITECTURE.md Layer 4). Families of
+/// one lane shape replay lane_width groups per block through
+/// run_lane_block while at least lane_cutoff groups remain; the rest, and
+/// every group when the families do not share a lane shape, replay per
+/// family as one-sample level sessions do. Plans and lane tables are
+/// built once and the buffers kept, so a warm run allocates nothing.
+class statevector_group_session final : public group_session {
+public:
+    statevector_group_session(engine_config config,
+                              std::vector<std::vector<program>> families)
+        : config_(std::move(config)), families_(std::move(families)) {
+        QUORUM_EXPECTS_MSG(!families_.empty(),
+                           "a group session needs at least one family");
+        levels_ = families_.front().size();
+        plans_.reserve(families_.size());
+        for (const std::vector<program>& family : families_) {
+            QUORUM_EXPECTS_MSG(family.size() == levels_,
+                               "the families of a group session must share "
+                               "one level count");
+            validate_level_family(family);
+            plans_.push_back(plan_family(family, config_.sampling_mode));
+        }
+        tables_ = group_lane_tables(families_, plans_);
+    }
+
+    void run(std::span<const sample> samples,
+             std::span<double> out) override {
+        const std::size_t groups = families_.size();
+        validate_group_batch(groups, levels_, samples, out);
+        for (std::size_t g = 0; g < groups; ++g) {
+            validate_level_samples(families_[g], samples.subspan(g, 1),
+                                   out.subspan(g * levels_, levels_),
+                                   config_.sampling_mode != sampling::exact);
+        }
+        std::size_t first = 0;
+        for (const lane_matrix_table& table : tables_) {
+            if (groups - first < lane_cutoff) {
+                break;
+            }
+            const std::size_t block =
+                std::min(qsim::kernels::lane_width, groups - first);
+            run_lane_block(config_, families_[first], plans_[first],
+                           per_lane_matrices{table.data()}, buffers_.lanes,
+                           samples, first, block, out);
+            first += block;
+        }
+        for (std::size_t g = first; g < groups; ++g) {
+            run_family_planned(config_, families_[g], plans_[g], buffers_,
+                               samples.subspan(g, 1),
+                               out.subspan(g * levels_, levels_));
+        }
+    }
+
+    [[nodiscard]] bool in_lanes() const noexcept {
+        return !tables_.empty() && families_.size() >= lane_cutoff;
+    }
+
+private:
+    engine_config config_;
+    std::vector<std::vector<program>> families_;
+    std::size_t levels_ = 0;
+    std::vector<family_plan> plans_;
+    std::vector<lane_matrix_table> tables_;
     replay_buffers buffers_;
 };
 
@@ -958,6 +1164,23 @@ statevector_backend::make_level_session(std::vector<program> family) const {
     }
     return std::make_unique<statevector_level_session>(config_,
                                                        std::move(family));
+}
+
+bool statevector_backend::replays_groups_in_lanes(
+    std::vector<std::vector<program>> families) const {
+    return config_.sampling_mode != sampling::per_shot &&
+           statevector_group_session(config_, std::move(families))
+               .in_lanes();
+}
+
+std::unique_ptr<group_session> statevector_backend::make_group_session(
+    std::vector<std::vector<program>> families) const {
+    if (config_.sampling_mode == sampling::per_shot) {
+        // As make_level_session: per-shot replay has nothing to share.
+        return executor::make_group_session(std::move(families));
+    }
+    return std::make_unique<statevector_group_session>(config_,
+                                                       std::move(families));
 }
 
 } // namespace quorum::exec

@@ -15,8 +15,11 @@
 // directly) at its first divergent op — ==-equal to per-level run_batch.
 // On the AVX2 kernels, Quorum's register-A families replay a bucket's
 // samples lane_width at a time: every op is one lane-kernel call per
-// block, each lane bit-identical to the per-sample replay. run_batch
-// stays per-sample, the independent reference both are checked against.
+// block, each lane bit-identical to the per-sample replay. A group
+// session replays several such families of one shape (the stream's
+// ensemble groups) side by side, one family per lane. run_batch stays
+// per-sample, the independent reference all of these are checked
+// against.
 #ifndef QUORUM_EXEC_STATEVECTOR_BACKEND_H
 #define QUORUM_EXEC_STATEVECTOR_BACKEND_H
 
@@ -63,6 +66,22 @@ public:
     /// replay session under per-shot sampling.
     [[nodiscard]] std::unique_ptr<level_session>
     make_level_session(std::vector<program> family) const override;
+
+    /// True when a group session over `families` replays at least one
+    /// block of groups in lanes: the AVX2 kernels are active, not per-shot
+    /// sampling, at least lane_cutoff families, each lane-covered, all of
+    /// one lane shape (ARCHITECTURE.md Layer 4). For tests and benches;
+    /// results are IEEE == either way.
+    [[nodiscard]] bool
+    replays_groups_in_lanes(std::vector<std::vector<program>> families) const;
+
+    /// Group session: families of one lane shape replay side by side, a
+    /// family per lane, each lane with its own matrices; other families
+    /// replay per family. Falls back to the base session under per-shot
+    /// sampling.
+    [[nodiscard]] std::unique_ptr<group_session>
+    make_group_session(
+        std::vector<std::vector<program>> families) const override;
 
 private:
     engine_config config_;

@@ -214,6 +214,10 @@ namespace {
 void lanes_1q(double*, double*, std::size_t, const amp*, qubit_t) {
     no_lane_kernels();
 }
+void lanes_1q_each(double*, double*, std::size_t, const lane_1q_matrices&,
+                   qubit_t) {
+    no_lane_kernels();
+}
 void lanes_x(double*, double*, std::size_t, qubit_t) {
     no_lane_kernels();
 }

@@ -150,6 +150,27 @@ inline constexpr std::size_t lane_width = 8;
 void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
               qubit_t q);
 
+/// One row-major 2x2 matrix per lane, split by entry: entry e of lane
+/// l's matrix is (re[e][l], im[e][l]), so a lane kernel loads each entry
+/// of four lanes as one vector.
+struct alignas(64) lane_1q_matrices {
+    double re[4][lane_width];
+    double im[4][lane_width];
+
+    /// Stores the row-major 2x2 u as lane `lane`'s matrix.
+    void set(std::size_t lane, const amp* u) noexcept {
+        for (std::size_t e = 0; e < 4; ++e) {
+            re[e][lane] = u[e].real();
+            im[e][lane] = u[e].imag();
+        }
+    }
+};
+
+/// lanes_1q with a matrix per lane: lane l applies its own matrix from
+/// `u` to qubit q, with lanes_1q's per-lane expressions.
+void lanes_1q_each(double* re, double* im, std::size_t rows,
+                   const lane_1q_matrices& u, qubit_t q);
+
 /// x on qubit q and cx in every lane: row swaps over rows [0, rows).
 void lanes_x(double* re, double* im, std::size_t rows, qubit_t q);
 void lanes_cx(double* re, double* im, std::size_t rows, qubit_t control,

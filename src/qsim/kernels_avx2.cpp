@@ -583,17 +583,39 @@ void swap_rows(double* re, double* im, std::size_t a, std::size_t b) {
     }
 }
 
-} // namespace
+/// One matrix for every lane: entry e broadcast as (re(e), im(e)).
+struct shared_matrix {
+    __m256d r[4];
+    __m256d i[4];
 
-void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
-              qubit_t q) {
-    const double* parts = reinterpret_cast<const double*>(u);
-    __m256d ur[4];
-    __m256d ui[4];
-    for (std::size_t e = 0; e < 4; ++e) {
-        ur[e] = _mm256_set1_pd(parts[2 * e]);
-        ui[e] = _mm256_set1_pd(parts[2 * e + 1]);
+    explicit shared_matrix(const amp* u) {
+        const double* parts = reinterpret_cast<const double*>(u);
+        for (std::size_t e = 0; e < 4; ++e) {
+            r[e] = _mm256_set1_pd(parts[2 * e]);
+            i[e] = _mm256_set1_pd(parts[2 * e + 1]);
+        }
     }
+    [[nodiscard]] __m256d re(std::size_t e, std::size_t) const { return r[e]; }
+    [[nodiscard]] __m256d im(std::size_t e, std::size_t) const { return i[e]; }
+};
+
+/// A matrix per lane: entry e of lanes [v, v + 4).
+struct per_lane_matrix {
+    const lane_1q_matrices& u;
+
+    [[nodiscard]] __m256d re(std::size_t e, std::size_t v) const {
+        return load(u.re[e] + v);
+    }
+    [[nodiscard]] __m256d im(std::size_t e, std::size_t v) const {
+        return load(u.im[e] + v);
+    }
+};
+
+/// lanes_1q's loop over a matrix source, so both kernels run one
+/// expression per output.
+template <typename Matrix>
+void lanes_1q_with(double* re, double* im, std::size_t rows, const Matrix& u,
+                   qubit_t q) {
     const std::size_t step = std::size_t{1} << q;
     for (std::size_t block = 0; block < rows; block += 2 * step) {
         for (std::size_t i = block; i < block + step; ++i) {
@@ -606,17 +628,33 @@ void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
                 const __m256d ai = load(pai);
                 const __m256d br = load(pbr);
                 const __m256d bi = load(pbi);
-                store(par, _mm256_add_pd(product_re(ur[0], ui[0], ar, ai),
-                                         product_re(ur[1], ui[1], br, bi)));
-                store(pai, _mm256_add_pd(product_im(ur[0], ui[0], ar, ai),
-                                         product_im(ur[1], ui[1], br, bi)));
-                store(pbr, _mm256_add_pd(product_re(ur[2], ui[2], ar, ai),
-                                         product_re(ur[3], ui[3], br, bi)));
-                store(pbi, _mm256_add_pd(product_im(ur[2], ui[2], ar, ai),
-                                         product_im(ur[3], ui[3], br, bi)));
+                store(par, _mm256_add_pd(
+                               product_re(u.re(0, v), u.im(0, v), ar, ai),
+                               product_re(u.re(1, v), u.im(1, v), br, bi)));
+                store(pai, _mm256_add_pd(
+                               product_im(u.re(0, v), u.im(0, v), ar, ai),
+                               product_im(u.re(1, v), u.im(1, v), br, bi)));
+                store(pbr, _mm256_add_pd(
+                               product_re(u.re(2, v), u.im(2, v), ar, ai),
+                               product_re(u.re(3, v), u.im(3, v), br, bi)));
+                store(pbi, _mm256_add_pd(
+                               product_im(u.re(2, v), u.im(2, v), ar, ai),
+                               product_im(u.re(3, v), u.im(3, v), br, bi)));
             }
         }
     }
+}
+
+} // namespace
+
+void lanes_1q(double* re, double* im, std::size_t rows, const amp* u,
+              qubit_t q) {
+    lanes_1q_with(re, im, rows, shared_matrix(u), q);
+}
+
+void lanes_1q_each(double* re, double* im, std::size_t rows,
+                   const lane_1q_matrices& u, qubit_t q) {
+    lanes_1q_with(re, im, rows, per_lane_matrix{u}, q);
 }
 
 void lanes_x(double* re, double* im, std::size_t rows, qubit_t q) {

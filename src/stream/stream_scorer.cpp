@@ -39,6 +39,7 @@ stream_scorer::stream_scorer(stream_config config, std::size_t raw_features)
 
     const std::size_t level_count = levels_.size();
     groups_.resize(detector.ensemble_groups);
+    std::vector<std::vector<exec::program>> families;
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         group_state& group = groups_[g];
         group.group_root = util::derive_seed(detector.seed, g);
@@ -59,23 +60,40 @@ stream_scorer::stream_scorer(stream_config config, std::size_t raw_features)
                 core::make_level_program(params, level, detector, *engine_));
         }
         if (detector.fused_levels) {
-            group.session = engine_->make_level_session(std::move(family));
+            families.push_back(std::move(family));
         } else {
             group.family = std::move(family);
         }
     }
+    if (detector.fused_levels) {
+        session_ = engine_->make_group_session(std::move(families));
+    }
 
+    const std::size_t group_count = groups_.size();
+    const std::size_t dim = std::size_t{1} << detector.n_qubits;
     extracted_.assign(extractor_.extracted_features(), 0.0);
     selected_.assign(
         std::min(qml::encoded_feature_count(detector.encoding,
                                             detector.n_qubits),
                  extractor_.extracted_features()),
         0.0);
-    amplitudes_.assign(std::size_t{1} << detector.n_qubits, 0.0);
-    p_values_.assign(level_count, 0.0);
+    amplitudes_.assign(group_count * dim, 0.0);
+    p_values_.assign(group_count * level_count, 0.0);
+    samples_.resize(group_count);
     if (stochastic_) {
-        gens_.assign(level_count, util::rng(0));
-        gen_ptrs_.assign(level_count, nullptr);
+        gens_.assign(group_count * level_count, util::rng(0));
+        for (util::rng& gen : gens_) {
+            gen_ptrs_.push_back(&gen);
+        }
+    }
+    for (std::size_t g = 0; g < group_count; ++g) {
+        samples_[g].amplitudes =
+            std::span<const double>(amplitudes_).subspan(g * dim, dim);
+        if (stochastic_) {
+            samples_[g].level_gens = std::span<util::rng* const>(gen_ptrs_)
+                                         .subspan(g * level_count,
+                                                  level_count);
+        }
     }
 }
 
@@ -105,50 +123,51 @@ stream_score stream_scorer::push(std::span<const double> raw) {
     normalizer_.normalize(extracted_);
 
     const std::size_t level_count = levels_.size();
-    double abs_z_sum = 0.0;
-    std::size_t run_count = 0;
-    for (group_state& group : groups_) {
+    const std::size_t dim = std::size_t{1} << config_.detector.n_qubits;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const group_state& group = groups_[g];
         for (std::size_t k = 0; k < group.features.size(); ++k) {
             selected_[k] = extracted_[group.features[k]];
         }
         qml::encode_features(config_.detector.encoding, selected_,
-                             config_.detector.n_qubits, amplitudes_);
-
-        exec::sample s;
-        s.amplitudes = amplitudes_;
+                             config_.detector.n_qubits,
+                             std::span(amplitudes_).subspan(g * dim, dim));
         if (stochastic_) {
             // Fresh per-(arrival, level) child streams, derived from the
             // stream position alone — the batch path's split discipline,
             // keyed by time instead of by row index.
             util::rng base(util::derive_seed(group.stoch_root, t));
             for (std::size_t k = 0; k < level_count; ++k) {
-                gens_[k] = base.child(k);
-                gen_ptrs_[k] = &gens_[k];
+                gens_[g * level_count + k] = base.child(k);
             }
         }
-        if (group.session) {
-            if (stochastic_) {
-                s.level_gens = std::span<util::rng* const>(gen_ptrs_);
-            }
-            group.session->run(std::span<const exec::sample>(&s, 1),
-                               std::span<double>(p_values_));
-        } else {
-            // --no-fused A/B hatch: per-level run_batch with the same
-            // child streams; IEEE-identical by the executor contract,
-            // but re-plans per call (excluded from the steady-state
-            // allocation guarantee).
+    }
+    if (session_) {
+        session_->run(samples_, p_values_);
+    } else {
+        // --no-fused A/B hatch: per-level run_batch with the same child
+        // streams; IEEE-identical by the executor contract, but re-plans
+        // per call (excluded from the steady-state allocation guarantee).
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            exec::sample s = samples_[g];
             for (std::size_t k = 0; k < level_count; ++k) {
-                s.gen = stochastic_ ? &gens_[k] : nullptr;
-                engine_->run_batch(group.family[k],
+                const std::size_t index = g * level_count + k;
+                s.gen = stochastic_ ? &gens_[index] : nullptr;
+                engine_->run_batch(groups_[g].family[k],
                                    std::span<const exec::sample>(&s, 1),
-                                   std::span<double>(p_values_.data() + k, 1));
+                                   std::span(p_values_).subspan(index, 1));
             }
         }
+    }
 
+    double abs_z_sum = 0.0;
+    std::size_t run_count = 0;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        group_state& group = groups_[g];
         const std::size_t bucket = group.plan.slot_to_bucket[slot];
         for (std::size_t k = 0; k < level_count; ++k) {
-            if (const std::optional<double> z =
-                    group.stats.add_and_score(k, bucket, p_values_[k])) {
+            if (const std::optional<double> z = group.stats.add_and_score(
+                    k, bucket, p_values_[g * level_count + k])) {
                 abs_z_sum += *z;
                 ++run_count;
             }

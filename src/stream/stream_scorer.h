@@ -36,11 +36,15 @@
 // by golden fixtures in tests/stream/.
 //
 // Steady-state cost: per-group programs are compiled once at
-// construction and evaluated through a persistent exec::level_session,
-// so a push allocates nothing once the first epoch of each shape has
-// been seen (the per-epoch re-plan is the one amortised allocation;
-// the --no-fused per-level path trades this for run_batch's per-call
-// setup and is kept only as the A/B validation hatch).
+// construction and evaluated through one persistent exec::group_session,
+// one call per push for all G groups: each push encodes every group's
+// sample and derives its level streams into preallocated G x 2^n and
+// G x L buffers, and on the statevector backend the groups replay side
+// by side in AVX2 lanes, IEEE == to one level session per group. A push
+// allocates nothing once the first epoch of each shape has been seen
+// (the per-epoch re-plan is the one amortised allocation; the --no-fused
+// per-level path trades this for run_batch's per-call setup and is kept
+// only as the A/B validation hatch).
 #ifndef QUORUM_STREAM_STREAM_SCORER_H
 #define QUORUM_STREAM_STREAM_SCORER_H
 
@@ -91,7 +95,7 @@ public:
     /// Builds the full ensemble for `raw_features`-wide arrivals:
     /// instantiates the backend, draws every group's feature subset and
     /// ansatz, compiles the level families and opens one persistent
-    /// level session per group. Construction is the expensive step;
+    /// group session over them. Construction is the expensive step;
     /// push() is the amortised one.
     stream_scorer(stream_config config, std::size_t raw_features);
 
@@ -121,10 +125,8 @@ private:
         /// Indices into the extracted feature vector.
         std::vector<std::size_t> features;
         /// Compiled level family; owned here only on the --no-fused
-        /// path (otherwise the session owns it).
+        /// path (otherwise the group session owns it).
         std::vector<exec::program> family;
-        /// Persistent fused evaluator (null on the --no-fused path).
-        std::unique_ptr<exec::level_session> session;
         /// derive_seed(detector.seed, group_index).
         std::uint64_t group_root = 0;
         /// derive_seed(group_root, 2) — per-arrival sampling streams.
@@ -138,20 +140,24 @@ private:
     stream_config config_;
     sliding_window_extractor extractor_;
     online_normalizer normalizer_;
-    // The engine must outlive every group's session (declaration order
+    // The engine must outlive the group session (declaration order
     // guarantees reverse-order destruction below).
     std::unique_ptr<exec::executor> engine_;
+    /// Every group's fused evaluator (null on the --no-fused path).
+    std::unique_ptr<exec::group_session> session_;
     std::vector<std::size_t> levels_;
     bool stochastic_ = false;
     std::vector<group_state> groups_;
 
-    // Preallocated push-path work buffers.
+    // Preallocated push-path work buffers; the per-group ones are
+    // group-major (group g at g * 2^n, g * L and g).
     std::vector<double> extracted_;
     std::vector<double> selected_;
     std::vector<double> amplitudes_;
     std::vector<double> p_values_;
     std::vector<util::rng> gens_;
     std::vector<util::rng*> gen_ptrs_;
+    std::vector<exec::sample> samples_;
     std::size_t position_ = 0;
 };
 

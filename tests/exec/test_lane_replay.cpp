@@ -4,7 +4,9 @@
 // must produce exactly the doubles of the per-sample replay. Every output
 // of run_batch_levels is compared bit for bit (std::bit_cast) with
 // per-level run_batch and with single-sample level sessions, which both
-// replay per sample, in exact and sampled modes.
+// replay per sample, in exact and sampled modes. The GroupSession cases
+// do the same for group sessions, whose lanes run different families of
+// one shape (the stream's ensemble groups), one sample each.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -118,6 +120,22 @@ std::vector<exec::program> reg_a_family(const qml::ansatz_params& params,
         program.circuit = qsim::compiled_program::compile(
             qml::autoencoder_reg_a_template(params, level));
         program.readout.kind = exec::readout_kind::prep_overlap_p1;
+        family.push_back(std::move(program));
+    }
+    return family;
+}
+
+/// The full SWAP-test circuits of one ansatz, read through a classical
+/// bit (for engines without the overlap shortcut).
+std::vector<exec::program> cbit_family(const qml::ansatz_params& params,
+                                       std::span<const std::size_t> levels) {
+    std::vector<exec::program> family;
+    for (const std::size_t level : levels) {
+        exec::program program;
+        program.circuit = qsim::compiled_program::compile(
+            qml::autoencoder_template(params, level));
+        program.readout.kind = exec::readout_kind::cbit_probability;
+        program.readout.cbit = qml::swap_result_cbit;
         family.push_back(std::move(program));
     }
     return family;
@@ -399,15 +417,7 @@ TEST(LaneReplay, OutOfCoverageFamiliesReplayPerSampleAndMatch) {
     const auto unnested = reg_a_family(params, reversed);
     // The full SWAP-test circuit read through a classical bit.
     const std::size_t nested[] = {1, 2};
-    std::vector<exec::program> cbit;
-    for (const std::size_t level : nested) {
-        exec::program program;
-        program.circuit = qsim::compiled_program::compile(
-            qml::autoencoder_template(params, level));
-        program.readout.kind = exec::readout_kind::cbit_probability;
-        program.readout.cbit = qml::swap_result_cbit;
-        cbit.push_back(std::move(program));
-    }
+    const auto cbit = cbit_family(params, nested);
     for (const exec::sampling mode : modes) {
         const auto engine =
             exec::make_executor("statevector", engine_config(mode));
@@ -469,6 +479,345 @@ TEST(LaneReplay, UnnormalisedSampleInABlockIsRejected) {
     } catch (const util::contract_error& e) {
         EXPECT_NE(std::string(e.what()).find("amplitudes must be normalised"),
                   std::string::npos) << e.what();
+    }
+}
+
+using family_list = std::vector<std::vector<exec::program>>;
+
+/// `groups` families of the Table-I shape over n qubits (2 ansatz
+/// layers), each with its own random angles.
+family_list distinct_families(std::size_t n,
+                              std::span<const std::size_t> levels,
+                              std::size_t groups, std::uint64_t seed) {
+    family_list families;
+    for (std::size_t g = 0; g < groups; ++g) {
+        util::rng gen(util::derive_seed(seed, g));
+        families.push_back(
+            reg_a_family(qml::random_ansatz_params(n, 2, gen), levels));
+    }
+    return families;
+}
+
+/// One group-session run over `families` with sample g in family g,
+/// twice on the same session (cold and warm buffers), against one
+/// single-sample level session per family and against per-level
+/// run_batch. Every path draws from its own fresh stream table.
+void expect_group_matches_per_family(
+    const exec::executor& engine, const family_list& families,
+    std::span<const std::vector<double>> amplitudes,
+    const std::string& what) {
+    const std::size_t groups = families.size();
+    const std::size_t levels = families.front().size();
+    ASSERT_EQ(amplitudes.size(), groups) << what;
+
+    const std::unique_ptr<exec::group_session> session =
+        engine.make_group_session(families);
+    std::vector<std::vector<double>> runs;
+    for (int pass = 0; pass < 2; ++pass) {
+        stream_table streams(groups, levels);
+        const auto batch = make_samples(amplitudes, {}, &streams);
+        std::vector<double> got(groups * levels);
+        session->run(batch, got);
+        runs.push_back(std::move(got));
+    }
+    expect_bits_equal(runs[1], runs[0], what + ", warm vs cold run");
+
+    stream_table session_streams(groups, levels);
+    const auto singles = make_samples(amplitudes, {}, &session_streams);
+    std::vector<double> sessions(groups * levels);
+    for (std::size_t g = 0; g < groups; ++g) {
+        engine.make_level_session(families[g])
+            ->run(std::span(singles).subspan(g, 1),
+                  std::span(sessions).subspan(g * levels, levels));
+    }
+    expect_bits_equal(runs[0], sessions, what + " vs per-family sessions");
+
+    stream_table level_streams(groups, levels);
+    std::vector<exec::sample> plain = make_samples(amplitudes, {}, nullptr);
+    std::vector<double> per_level(groups * levels);
+    for (std::size_t g = 0; g < groups; ++g) {
+        for (std::size_t k = 0; k < levels; ++k) {
+            plain[g].gen = level_streams.of(g)[k];
+            engine.run_batch(families[g][k], std::span(plain).subspan(g, 1),
+                             std::span(per_level).subspan(g * levels + k, 1));
+        }
+    }
+    expect_bits_equal(runs[0], per_level, what + " vs per-level run_batch");
+}
+
+constexpr std::size_t group_counts[] = {1, 2, 7, 8, 9, 17, 32};
+
+TEST(LaneReplay, GroupSessionMatchesPerFamilySessions) {
+    const std::size_t levels[] = {1, 2};
+    for (const exec::sampling mode : modes) {
+        const auto engine =
+            exec::make_executor("statevector", engine_config(mode));
+        for (const std::size_t groups : group_counts) {
+            const family_list families =
+                distinct_families(3, levels, groups, 40 + groups);
+            EXPECT_EQ(as_statevector(*engine).replays_groups_in_lanes(
+                          families),
+                      lanes_active() && groups >= 2)
+                << groups << " groups";
+            expect_group_matches_per_family(
+                *engine, families, salted_amplitudes(3, groups, 50 + groups),
+                mode_name(mode) + ", " + std::to_string(groups) + " groups");
+        }
+    }
+}
+
+TEST(LaneReplay, GroupSessionMatchesForEveryRegisterAndLevelSet) {
+    for (const exec::sampling mode : modes) {
+        const auto engine =
+            exec::make_executor("statevector", engine_config(mode));
+        for (std::size_t n = 2; n <= 5; ++n) {
+            for (std::size_t set = 1; set < (std::size_t{1} << (n - 1));
+                 ++set) {
+                std::vector<std::size_t> levels;
+                for (std::size_t level = 1; level < n; ++level) {
+                    if ((set >> (level - 1) & 1) != 0) {
+                        levels.push_back(level);
+                    }
+                }
+                const family_list families =
+                    distinct_families(n, levels, width + 3, 60 + n);
+                EXPECT_EQ(as_statevector(*engine).replays_groups_in_lanes(
+                              families),
+                          lanes_active());
+                expect_group_matches_per_family(
+                    *engine, families, salted_amplitudes(n, width + 3, n),
+                    mode_name(mode) + ", n = " + std::to_string(n) +
+                        ", level set " + std::to_string(set));
+            }
+        }
+    }
+}
+
+TEST(LaneReplay, GroupSessionGeneralGatesAndPrunedBranchesMatch) {
+    // Each group's u3, h-like and rotation matrices differ, and the
+    // inputs make qubit 2's first reset prune a branch in some lanes
+    // (see LanesThatPruneAResetBranchMatch).
+    family_list families;
+    for (std::size_t g = 0; g < width + 2; ++g) {
+        const double a = 0.3 + 0.41 * static_cast<double>(g);
+        const auto body = [a](qsim::circuit& c) {
+            c.u3(a, 1.9 - a, -0.4, 0);
+            c.h(1);
+            c.cx(0, 1);
+            c.rz(a * 1.7, 1);
+            c.sx(0);
+        };
+        const auto tail = [a](qsim::circuit& c) {
+            c.s(0);
+            c.u3(-1.2, a, 2.2, 1);
+            c.cx(0, 1);
+            c.x(2);
+            c.ry(-a, 2);
+        };
+        families.push_back(custom_family(3, 2, body, tail));
+    }
+    const double h = std::sqrt(0.5);
+    const double tiny = 1e-7;
+    const double rest = std::sqrt(1.0 - tiny * tiny);
+    const std::vector<std::vector<double>> kinds = {
+        {h, 0.0, -0.0, h, 0.0, 0.0, 0.0, -0.0},
+        {0.0, -0.0, 0.0, 0.0, h, 0.0, -h, 0.0},
+        {rest, 0.0, 0.0, 0.0, 0.0, tiny, 0.0, 0.0},
+        {0.5, -0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5},
+    };
+    std::vector<std::vector<double>> amplitudes;
+    for (std::size_t g = 0; g < families.size(); ++g) {
+        amplitudes.push_back(kinds[(g * 3) % kinds.size()]);
+    }
+    for (const exec::sampling mode : modes) {
+        const auto engine =
+            exec::make_executor("statevector", engine_config(mode));
+        EXPECT_EQ(as_statevector(*engine).replays_groups_in_lanes(families),
+                  lanes_active());
+        expect_group_matches_per_family(*engine, families, amplitudes,
+                                        mode_name(mode) + " general gates");
+    }
+}
+
+TEST(LaneReplay, GroupSessionFallbacksMatch) {
+    const std::size_t levels[] = {1, 2};
+    const std::size_t groups = width + 1;
+    const auto amplitudes = salted_amplitudes(3, groups, 70);
+    // Group g's body rotates qubit `target` by its own angle (or applies
+    // x there) and ends in `entangler`.
+    const auto family = [](std::size_t g, qsim::qubit_t target, bool x,
+                           bool dense) {
+        const double a = 0.2 + 0.3 * static_cast<double>(g);
+        return custom_family(
+            3, 2,
+            [=](qsim::circuit& c) {
+                if (x) {
+                    c.x(target);
+                } else {
+                    c.rx(a, target);
+                }
+                c.rz(-a, 2);
+                if (dense) {
+                    c.cz(1, 2);
+                } else {
+                    c.cx(0, 1);
+                }
+            },
+            [=](qsim::circuit& c) {
+                c.cx(0, 1);
+                c.rx(-a, 0);
+            });
+    };
+    const auto with_group = [&](std::size_t odd, qsim::qubit_t target,
+                                bool x, bool dense) {
+        family_list families;
+        for (std::size_t g = 0; g < groups; ++g) {
+            families.push_back(g == odd ? family(g, target, x, dense)
+                                        : family(g, 0, false, false));
+        }
+        return families;
+    };
+    const family_list same_shape = with_group(groups, 0, false, false);
+    // One family outside lane coverage: a dense two-qubit gate.
+    const family_list dense = with_group(2, 0, false, true);
+    // Lane-covered families of other shapes: a rotation on another
+    // qubit, an x where the others rotate.
+    const family_list other_qubit = with_group(5, 1, false, false);
+    const family_list x_gate = with_group(groups - 1, 0, true, false);
+    // Another level set of the same count: other level ends.
+    const std::size_t other_levels[] = {1, 3};
+    family_list mixed_levels = distinct_families(4, levels, groups, 74);
+    util::rng wide_gen(73);
+    mixed_levels[6] =
+        reg_a_family(qml::random_ansatz_params(4, 2, wide_gen), other_levels);
+    const auto wide_amplitudes = salted_amplitudes(4, groups, 75);
+
+    for (const exec::sampling mode : modes) {
+        const auto engine =
+            exec::make_executor("statevector", engine_config(mode));
+        const auto& backend = as_statevector(*engine);
+        const std::string name = mode_name(mode);
+        EXPECT_EQ(backend.replays_groups_in_lanes(same_shape),
+                  lanes_active());
+        EXPECT_FALSE(backend.replays_groups_in_lanes(dense));
+        EXPECT_FALSE(backend.replays_groups_in_lanes(other_qubit));
+        EXPECT_FALSE(backend.replays_groups_in_lanes(x_gate));
+        EXPECT_FALSE(backend.replays_groups_in_lanes(mixed_levels));
+        expect_group_matches_per_family(*engine, same_shape, amplitudes,
+                                        name + " one shape");
+        expect_group_matches_per_family(*engine, dense, amplitudes,
+                                        name + " dense family");
+        expect_group_matches_per_family(*engine, other_qubit, amplitudes,
+                                        name + " other qubit");
+        expect_group_matches_per_family(*engine, x_gate, amplitudes,
+                                        name + " x for a rotation");
+        expect_group_matches_per_family(*engine, mixed_levels,
+                                        wide_amplitudes,
+                                        name + " other level ends");
+        // The wrappers and the density engine take the base session.
+        exec::engine_config sharded_config = engine_config(mode);
+        sharded_config.shards = 3;
+        const auto sharded =
+            exec::make_executor("sharded:statevector", sharded_config);
+        expect_group_matches_per_family(*sharded, same_shape, amplitudes,
+                                        name + " sharded");
+    }
+
+    family_list cbit_families;
+    for (std::size_t g = 0; g < 3; ++g) {
+        util::rng family_gen(util::derive_seed(76, g));
+        cbit_families.push_back(
+            cbit_family(qml::random_ansatz_params(3, 2, family_gen), levels));
+    }
+    // Gate-lowering engines prepare non-negative real amplitudes only.
+    auto cbit_amplitudes = salted_amplitudes(3, 3, 77);
+    for (std::vector<double>& amps : cbit_amplitudes) {
+        for (double& a : amps) {
+            a = std::abs(a);
+        }
+    }
+    exec::engine_config per_shot = engine_config(exec::sampling::per_shot);
+    per_shot.shots = 32;
+    const auto shots = exec::make_executor("statevector", per_shot);
+    EXPECT_FALSE(as_statevector(*shots).replays_groups_in_lanes(same_shape));
+    expect_group_matches_per_family(*shots, cbit_families, cbit_amplitudes,
+                                    "per-shot");
+    const auto density = exec::make_executor(
+        "density", engine_config(exec::sampling::exact));
+    expect_group_matches_per_family(*density, cbit_families, cbit_amplitudes,
+                                    "density");
+}
+
+/// The contract_error message of `call`, or "" when it did not throw.
+std::string contract_message(const std::function<void()>& call) {
+    try {
+        call();
+    } catch (const util::contract_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(LaneReplay, GroupSessionContractErrors) {
+    const std::size_t levels[] = {1, 2};
+    const std::size_t groups = width;
+    const family_list families = distinct_families(3, levels, groups, 80);
+    auto amplitudes = salted_amplitudes(3, groups + 1, 81);
+    const auto has = [](const std::string& message, const char* part) {
+        return message.find(part) != std::string::npos;
+    };
+    for (const char* spec : {"statevector", "sharded:statevector"}) {
+        const auto engine = exec::make_executor(
+            spec, engine_config(exec::sampling::binomial));
+        const auto session = engine->make_group_session(families);
+        stream_table streams(groups + 1, 2);
+        const auto batch = make_samples(amplitudes, {}, &streams);
+        std::vector<double> out(groups * 2);
+        const std::span<const exec::sample> all = batch;
+
+        EXPECT_TRUE(has(contract_message([&] {
+                            session->run(all.first(groups - 1), out);
+                        }),
+                        "one sample per family"))
+            << spec;
+        EXPECT_TRUE(has(contract_message([&] { session->run(all, out); }),
+                        "one sample per family"))
+            << spec;
+        std::vector<double> short_out(groups * 2 - 1);
+        EXPECT_TRUE(has(contract_message([&] {
+                            session->run(all.first(groups), short_out);
+                        }),
+                        "families x levels"))
+            << spec;
+
+        std::vector<exec::sample> wrong_levels(all.begin(),
+                                               all.begin() + groups);
+        wrong_levels[3].level_gens = streams.of(3).first(1);
+        EXPECT_TRUE(has(contract_message(
+                            [&] { session->run(wrong_levels, out); }),
+                        "one rng stream per level"))
+            << spec;
+
+        family_list uneven = families;
+        uneven[5].pop_back();
+        EXPECT_TRUE(has(contract_message([&] {
+                            (void)engine->make_group_session(uneven);
+                        }),
+                        "share one level count"))
+            << spec;
+        EXPECT_TRUE(has(contract_message([&] {
+                            (void)engine->make_group_session({});
+                        }),
+                        "at least one family"))
+            << spec;
+
+        auto unnormalised = amplitudes;
+        unnormalised[groups / 2][0] += 0.5;
+        const auto bad = make_samples(std::span(unnormalised).first(groups),
+                                      {}, &streams);
+        EXPECT_TRUE(has(contract_message([&] { session->run(bad, out); }),
+                        "amplitudes must be normalised"))
+            << spec;
     }
 }
 

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -195,13 +196,13 @@ std::vector<tool_flags> all_tools() {
     const flag_rows stream = {
         help,
         {{"--scenario"}, kind::choice, "Drift"},
-        {{"--samples"}, kind::count},
+        {{"--samples"}, kind::count, "0"},
         {{"--anomalies"}, kind::count},
-        {{"--features"}, kind::count},
+        {{"--features"}, kind::count, "0"},
         {{"--drift"}, kind::real},
-        {{"--drift-period"}, kind::real},
-        {{"--window"}, kind::count},
-        {{"--rebucket"}, kind::count},
+        {{"--drift-period"}, kind::real, "0"},
+        {{"--window"}, kind::count, "0"},
+        {{"--rebucket"}, kind::count, "1"},
     };
     const flag_rows serve = {
         help,
@@ -353,6 +354,30 @@ TEST(ToolCli, UnknownModeIsAUsageErrorInEveryTool) {
             << tool;
         EXPECT_EQ(run_tool(tool, {"--mode"}).exit_code, 2) << tool;
     }
+}
+
+TEST(ToolCli, DemoStreamShapeIsCheckedWhileParsing) {
+    // These used to pass the flags and exit 1 from a precondition inside
+    // data::generate_drifting_stream that named a source line.
+    expect_usage_error(QUORUM_STREAM_BIN, {"--demo", "--samples", "1"},
+                       "--anomalies 10 must be below --samples 1");
+    expect_usage_error(QUORUM_STREAM_BIN,
+                       {"--demo", "--samples", "40", "--anomalies", "40"},
+                       "--anomalies 40 must be below --samples 40");
+    expect_usage_error(QUORUM_STREAM_BIN,
+                       {"--demo", "--scenario", "sensors", "--anomalies",
+                        "256"},
+                       "--anomalies 256 must be below --samples 256");
+    expect_usage_error(QUORUM_STREAM_BIN, {"--demo", "--features", "0"},
+                       "bad value '0' for --features");
+    expect_usage_error(QUORUM_STREAM_BIN, {"--demo", "--drift-period", "-3"},
+                       "bad value '-3' for --drift-period");
+    // One error line, nothing on stdout: the demo never started.
+    const tool_run run =
+        run_tool(QUORUM_STREAM_BIN, {"--demo", "--samples", "1"});
+    EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1)
+        << run.err;
+    EXPECT_EQ(run.out, "");
 }
 
 TEST(ToolCli, ServeNoLongerTakesAQueueBound) {

@@ -228,6 +228,68 @@ TEST(kernels, dispatch_honours_disable_env_var) {
     }
 }
 
+TEST(kernels, lanes_1q_each_matches_lanes_1q_and_apply_1q_per_lane) {
+    // Eight distinct matrices, one per lane: every lane must hold exactly
+    // what lanes_1q with that lane's matrix and the scalar apply_1q on
+    // that lane's state give. Inputs and matrices carry -0.0 entries.
+    if (!both_isas_available()) {
+        GTEST_SKIP() << "AVX2 kernels not available on this build/host";
+    }
+    constexpr std::size_t width = kernels::lane_width;
+    quorum::util::rng gen(20251018);
+    const auto salted = [&gen] {
+        return gen.uniform() < 0.25 ? -0.0 : gen.uniform(-1.0, 1.0);
+    };
+    const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    for (std::size_t n = 1; n <= 5; ++n) {
+        const std::size_t rows = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            std::vector<std::vector<amp>> u(width);
+            kernels::lane_1q_matrices table{};
+            for (std::size_t lane = 0; lane < width; ++lane) {
+                for (std::size_t e = 0; e < 4; ++e) {
+                    u[lane].emplace_back(salted(), salted());
+                }
+                table.set(lane, u[lane].data());
+            }
+            std::vector<double> re(rows * width);
+            std::vector<double> im(rows * width);
+            for (std::size_t i = 0; i < re.size(); ++i) {
+                re[i] = salted();
+                im[i] = salted();
+            }
+            std::vector<double> each_re = re;
+            std::vector<double> each_im = im;
+            kernels::lanes_1q_each(each_re.data(), each_im.data(), rows, table,
+                                   q);
+            for (std::size_t lane = 0; lane < width; ++lane) {
+                std::vector<double> shared_re = re;
+                std::vector<double> shared_im = im;
+                kernels::lanes_1q(shared_re.data(), shared_im.data(), rows,
+                                  u[lane].data(), q);
+                std::vector<amp> state(rows);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    state[r] = amp{re[r * width + lane], im[r * width + lane]};
+                }
+                kernels::apply_1q(state.data(), n, u[lane].data(), q,
+                                  kernels::isa::scalar);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    const std::size_t at = r * width + lane;
+                    EXPECT_TRUE(same(each_re[at], shared_re[at]) &&
+                                same(each_im[at], shared_im[at]) &&
+                                same(each_re[at], state[r].real()) &&
+                                same(each_im[at], state[r].imag()))
+                        << "n=" << n << " q=" << q << " lane=" << lane
+                        << " row=" << r;
+                }
+            }
+        }
+    }
+}
+
 TEST(kernels, statevector_and_kernel_apply_agree) {
     // The statevector engine routes through the dispatching kernel
     // overloads; a direct kernel call on the raw amplitudes must match.

@@ -1,9 +1,12 @@
 // bench/bench_common.h's flag helpers, which every bench that takes flags
 // reads them through. They used to parse with strtoull(v, nullptr, 10),
 // so "--reps banana" became 0 and "--clients -1" became 2^64 - 1; a
-// malformed or missing value now exits 2 naming the flag.
+// malformed or missing value now exits 2 naming the flag. bench_scale()
+// parsed QUORUM_BENCH_SCALE with strtod(raw, nullptr) the same way
+// ("banana" ran at scale 1.0, "0.5x" at 0.5).
 #include "bench_common.h"
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,28 @@ TEST(BenchFlagsDeathTest, MissingValueExitsTwoNamingTheFlag) {
                 ::testing::ExitedWithCode(2), "missing value for --reps");
     EXPECT_EXIT((void)flag_text(line.argc(), line.argv.data(), "--reps"),
                 ::testing::ExitedWithCode(2), "missing value for --reps");
+}
+
+TEST(BenchFlagsDeathTest, MalformedScaleExitsTwoNamingTheVariable) {
+    const char* before = std::getenv("QUORUM_BENCH_SCALE");
+    const std::string saved = before == nullptr ? "" : before;
+    for (const char* bad : {"banana", "0.5x", "", "nan", "inf", "0", "-2"}) {
+        ASSERT_EQ(setenv("QUORUM_BENCH_SCALE", bad, 1), 0);
+        EXPECT_EXIT((void)quorum::bench::bench_scale(),
+                    ::testing::ExitedWithCode(2),
+                    "bad value '.*' for QUORUM_BENCH_SCALE")
+            << bad;
+    }
+    ASSERT_EQ(setenv("QUORUM_BENCH_SCALE", "0.5", 1), 0);
+    EXPECT_EQ(quorum::bench::bench_scale(), 0.5);
+    ASSERT_EQ(setenv("QUORUM_BENCH_SCALE", "1e-9", 1), 0);
+    EXPECT_EQ(quorum::bench::bench_scale(), 0.05);
+    if (before == nullptr) {
+        ASSERT_EQ(unsetenv("QUORUM_BENCH_SCALE"), 0);
+        EXPECT_EQ(quorum::bench::bench_scale(), 1.0);
+    } else {
+        ASSERT_EQ(setenv("QUORUM_BENCH_SCALE", saved.c_str(), 1), 0);
+    }
 }
 
 } // namespace

@@ -64,12 +64,17 @@ void flag_table::integer(std::string names, std::string placeholder,
 }
 
 void flag_table::real(std::string names, std::string placeholder,
-                      std::string help, double& target) {
+                      std::string help, double& target, bool positive) {
     std::ostringstream shown;
     shown << target;
     choice(std::move(names), std::move(placeholder), std::move(help),
-           [&target](const std::string& v) {
-               return util::parse_real(v, target);
+           [&target, positive](const std::string& v) {
+               double value = 0.0;
+               if (!util::parse_real(v, value) || (positive && value <= 0.0)) {
+                   return false;
+               }
+               target = value;
+               return true;
            },
            shown.str());
 }

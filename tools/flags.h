@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.h"
@@ -43,21 +44,27 @@ public:
                 bool value = true);
     void text(std::string names, std::string placeholder, std::string help,
               std::string& target);
-    /// A non-negative integer that must fit T (util::parse_count).
+    /// A non-negative integer that must fit T (util::parse_count) and be
+    /// at least `minimum`.
     template <typename T>
     void count(std::string names, std::string placeholder, std::string help,
-               T& target) {
+               T& target, std::type_identity_t<T> minimum = 0) {
         choice(std::move(names), std::move(placeholder), std::move(help),
-               [&target](const std::string& v) {
-                   return util::parse_count(v, target);
+               [&target, minimum](const std::string& v) {
+                   T value{};
+                   if (!util::parse_count(v, value) || value < minimum) {
+                       return false;
+                   }
+                   target = value;
+                   return true;
                },
                std::to_string(target));
     }
     void integer(std::string names, std::string placeholder,
                  std::string help, int& target);
-    /// A finite real (util::parse_real).
+    /// A finite real (util::parse_real), and above zero when `positive`.
     void real(std::string names, std::string placeholder, std::string help,
-              double& target);
+              double& target, bool positive = false);
     /// A value checked by an existing parser inside `set`; --help shows
     /// `shown` as the default unless it is empty. The other row kinds are
     /// choices with a fixed parser, and an empty `placeholder` makes a

@@ -71,21 +71,30 @@ int main(int argc, char** argv) {
                      return true;
                  },
                  demo.scenario);
-    flags.count("--samples", "N", "demo stream length", demo.samples);
-    flags.count("--anomalies", "N", "demo anomalies", demo.anomalies);
-    flags.count("--features", "N", "demo raw features", demo.features);
+    flags.count("--samples", "N", "demo stream length (>= 1)", demo.samples,
+                1);
+    flags.count("--anomalies", "N", "demo anomalies (below --samples)",
+                demo.anomalies);
+    flags.count("--features", "N", "demo raw features (>= 1)", demo.features,
+                1);
     flags.real("--drift", "A", "demo drift amplitude", demo.drift_amplitude);
-    flags.real("--drift-period", "P", "demo drift period in arrivals",
-               demo.drift_period);
-    flags.count("--window", "N", "sliding-window length", config.window);
-    flags.count("--rebucket", "N", "arrivals per re-bucketing epoch",
-                config.rebucket_interval);
+    flags.real("--drift-period", "P", "demo drift period in arrivals (> 0)",
+               demo.drift_period, true);
+    flags.count("--window", "N", "sliding-window length (>= 1)",
+                config.window, 1);
+    flags.count("--rebucket", "N", "arrivals per re-bucketing epoch (>= 2)",
+                config.rebucket_interval, 2);
     tools::add_scoring_flags(flags, config.detector);
     if (const auto exit_code = flags.parse(argc, argv)) {
         return *exit_code;
     }
     if (!options.demo && options.input.empty()) {
         return flags.usage_error("either --input or --demo is required");
+    }
+    if (options.demo && demo.anomalies >= demo.samples) {
+        return flags.usage_error(
+            "--anomalies " + std::to_string(demo.anomalies) +
+            " must be below --samples " + std::to_string(demo.samples));
     }
 
     try {
