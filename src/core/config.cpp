@@ -107,19 +107,20 @@ bool quorum_config::uses_full_circuit() const noexcept {
 }
 
 void quorum_config::validate() const {
-    QUORUM_EXPECTS_MSG(n_qubits >= 2 && n_qubits <= 10,
-                       "n_qubits must be in [2, 10]");
+    QUORUM_EXPECTS_MSG(n_qubits >= min_qubits && n_qubits <= max_qubits,
+                       "n_qubits must be in [" + std::to_string(min_qubits) +
+                           ", " + std::to_string(max_qubits) + "]");
     QUORUM_EXPECTS_MSG(ansatz_layers >= 1 && ansatz_layers <= 16,
                        "ansatz_layers must be in [1, 16]");
-    QUORUM_EXPECTS_MSG(ensemble_groups >= 1,
+    QUORUM_EXPECTS_MSG(ensemble_groups >= min_ensemble_groups,
                        "need at least one ensemble group");
-    QUORUM_EXPECTS_MSG(bucket_probability > 0.0 && bucket_probability < 1.0,
+    QUORUM_EXPECTS_MSG(probability_range.contains(bucket_probability),
                        "bucket_probability must be in (0, 1)");
-    QUORUM_EXPECTS_MSG(estimated_anomaly_rate > 0.0 &&
-                           estimated_anomaly_rate < 1.0,
+    QUORUM_EXPECTS_MSG(probability_range.contains(estimated_anomaly_rate),
                        "estimated_anomaly_rate must be in (0, 1)");
     if (mode != exec_mode::exact) {
-        QUORUM_EXPECTS_MSG(shots >= 1, "sampling modes need shots >= 1");
+        QUORUM_EXPECTS_MSG(shots >= min_sampling_shots,
+                           "sampling modes need shots >= 1");
     }
     for (const std::size_t level : compression_levels) {
         QUORUM_EXPECTS_MSG(level >= 1 && level < n_qubits,

@@ -6,6 +6,7 @@
 #define QUORUM_CORE_CONFIG_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,26 @@ enum class feature_strategy {
 
 /// Human-readable strategy name.
 [[nodiscard]] const char* feature_strategy_name(feature_strategy s) noexcept;
+
+/// An open interval of reals, (low, high).
+struct open_range {
+    double low = -std::numeric_limits<double>::infinity();
+    double high = std::numeric_limits<double>::infinity();
+
+    [[nodiscard]] constexpr bool contains(double value) const noexcept {
+        return value > low && value < high;
+    }
+};
+
+/// The ranges quorum_config::validate() enforces. The tools' flag rows
+/// check the same values while parsing, so each range is written once.
+inline constexpr std::size_t min_qubits = 2;
+inline constexpr std::size_t max_qubits = 10;
+inline constexpr std::size_t min_ensemble_groups = 1;
+/// Every mode but exact samples, and needs at least this many shots.
+inline constexpr std::size_t min_sampling_shots = 1;
+/// bucket_probability and estimated_anomaly_rate.
+inline constexpr open_range probability_range{0.0, 1.0};
 
 /// All knobs of the Quorum pipeline. Defaults follow the paper's primary
 /// configuration: 3-qubit encodings (7-qubit circuits), 4096 shots,

@@ -143,13 +143,8 @@ double density_backend::run(const qsim::circuit& c, int cbit,
                             util::rng* gen) const {
     const qsim::noisy_run_result result =
         qsim::density_runner::run(c, config_.noise);
-    const double p_one = result.cbit_probability_one(cbit, config_.noise);
-    if (config_.sampling_mode == sampling::exact) {
-        return p_one;
-    }
-    QUORUM_EXPECTS_MSG(gen != nullptr, "sampling modes need an rng stream");
-    return static_cast<double>(gen->binomial(config_.shots, p_one)) /
-           static_cast<double>(config_.shots);
+    return report_probability(config_, gen,
+                              result.cbit_probability_one(cbit, config_.noise));
 }
 
 void density_backend::run_batch(const program& prog,
@@ -184,15 +179,9 @@ void density_backend::run_batch(const program& prog,
 
         const qsim::noisy_run_result result = qsim::density_runner::
             run_lowered(qsim::optimize_basis_circuit(lowered), config_.noise);
-        const double p_one =
-            result.cbit_probability_one(prog.readout.cbit, config_.noise);
-        if (config_.sampling_mode == sampling::exact) {
-            out[i] = p_one;
-        } else {
-            out[i] = static_cast<double>(
-                         samples[i].gen->binomial(config_.shots, p_one)) /
-                     static_cast<double>(config_.shots);
-        }
+        out[i] = report_probability(
+            config_, samples[i].gen,
+            result.cbit_probability_one(prog.readout.cbit, config_.noise));
     }
 }
 
@@ -272,16 +261,12 @@ void density_backend::run_batch_levels(std::span<const program> levels,
             qsim::density_runner::apply_lowered_ops(
                 state, circuit, trunk_pos, circuit.ops().size(),
                 config_.noise);
-            const double p_one = state.cbit_probability_one(
-                levels[k].readout.cbit, config_.noise);
-            if (config_.sampling_mode == sampling::exact) {
-                out[i * count + k] = p_one;
-            } else {
-                out[i * count + k] =
-                    static_cast<double>(samples[i].level_gens[k]->binomial(
-                        config_.shots, p_one)) /
-                    static_cast<double>(config_.shots);
-            }
+            out[i * count + k] = report_probability(
+                config_,
+                samples[i].level_gens.empty() ? nullptr
+                                              : samples[i].level_gens[k],
+                state.cbit_probability_one(levels[k].readout.cbit,
+                                           config_.noise));
             if (k + 1 < count && trunk_pos > fork[k + 1]) {
                 // Non-nested ordering: rebuild the trunk along the next
                 // level's ops (bit-identical to a fresh evolution).

@@ -76,6 +76,16 @@ std::size_t resolve_lane_count(std::size_t configured,
                     max_lanes);
 }
 
+double report_probability(const engine_config& config, util::rng* gen,
+                          double p_one) {
+    if (config.sampling_mode == sampling::exact) {
+        return p_one;
+    }
+    QUORUM_EXPECTS_MSG(gen != nullptr, "sampling modes need an rng stream");
+    return static_cast<double>(gen->binomial(config.shots, p_one)) /
+           static_cast<double>(config.shots);
+}
+
 void executor::run_batch_levels(std::span<const program> levels,
                                 std::span<const sample> samples,
                                 std::span<double> out) const {

@@ -268,6 +268,12 @@ protected:
 [[nodiscard]] std::size_t resolve_lane_count(std::size_t configured,
                                              std::size_t max_lanes) noexcept;
 
+/// The value a backend reports for a readout probability: `p_one` itself
+/// under sampling::exact, otherwise a Binomial(shots, p_one) draw from
+/// `gen` (non-null there) divided by shots.
+[[nodiscard]] double report_probability(const engine_config& config,
+                                        util::rng* gen, double p_one);
+
 /// Validates a batch's shape against a program: the output span matches
 /// the batch, per-sample amplitude counts match the program's prep slots,
 /// prefix param counts match, and (when needs_rng) every sample carries an

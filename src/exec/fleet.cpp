@@ -68,10 +68,7 @@ void decode_result_into(std::span<const std::uint8_t> reply,
 // --- worker_fleet -----------------------------------------------------------
 
 worker_fleet::worker_fleet(fleet_config config) : config_(std::move(config)) {
-    QUORUM_EXPECTS_MSG(!config_.inner.empty() && config_.inner != "remote" &&
-                           config_.inner != "sharded" &&
-                           config_.inner != "fleet" &&
-                           config_.inner.find(':') == std::string::npos,
+    QUORUM_EXPECTS_MSG(is_plain_engine_name(config_.inner),
                        "the fleet wraps one plain inner backend name (no "
                        "nesting)");
     QUORUM_EXPECTS_MSG(config_.rejoin_attempts >= 0 &&

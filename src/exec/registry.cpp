@@ -72,6 +72,11 @@ bool register_backend(std::string name, backend_factory factory) {
         .second;
 }
 
+bool is_plain_engine_name(std::string_view name) noexcept {
+    return !name.empty() && name.find(':') == std::string_view::npos &&
+           name != "sharded" && name != "remote" && name != "fleet";
+}
+
 backend_spec parse_backend_spec(std::string_view spec) {
     backend_spec parsed;
     const std::size_t colon = spec.find(':');
@@ -92,9 +97,7 @@ backend_spec parse_backend_spec(std::string_view spec) {
         QUORUM_EXPECTS_MSG(!parsed.inner.empty(),
                            "'" + parsed.name + ":' needs an inner backend "
                            "name (e.g. " + parsed.name + ":statevector)");
-        QUORUM_EXPECTS_MSG(parsed.inner.find(':') == std::string::npos &&
-                               parsed.inner != "sharded" &&
-                               parsed.inner != "remote",
+        QUORUM_EXPECTS_MSG(is_plain_engine_name(parsed.inner),
                            "the " + parsed.name + " backend cannot nest "
                            "(inner must be a plain backend name)");
     }

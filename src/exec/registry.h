@@ -39,6 +39,14 @@ struct backend_spec {
 /// NOT check registration — make_executor does.
 [[nodiscard]] backend_spec parse_backend_spec(std::string_view spec);
 
+/// True when `name` can name the engine a wrapper runs its lanes on: non-
+/// empty, without ':', and none of the wrappers "sharded", "remote" and
+/// "fleet" (quorum_serve's shared worker fleet), which distribute batches
+/// themselves and so cannot nest. Every place that takes an inner engine
+/// name checks it with this: composite specs, the sharded backend, the
+/// worker fleet, a worker's hello and quorum_serve --backend.
+[[nodiscard]] bool is_plain_engine_name(std::string_view name) noexcept;
+
 /// True when `spec` is well-formed and every name in it is registered.
 [[nodiscard]] bool is_backend_registered(std::string_view spec);
 

@@ -4,14 +4,12 @@
 
 #include "util/contracts.h"
 #include "util/parse.h"
-#include "util/rng.h"
 
 namespace quorum::exec {
 
 std::vector<shard_work> make_shard_plan(std::size_t n_samples,
                                         std::size_t shards,
-                                        const program* prog,
-                                        std::uint64_t seed) {
+                                        const program* prog) {
     QUORUM_EXPECTS_MSG(shards >= 1, "a shard plan needs at least one shard");
     // More shards than samples cannot add lanes, so iterate the capped
     // count: a pathological shards value (e.g. an unsigned wrap of "-1")
@@ -29,7 +27,6 @@ std::vector<shard_work> make_shard_plan(std::size_t n_samples,
         work.first = s * n_samples / lanes;
         work.count = (s + 1) * n_samples / lanes - work.first;
         work.prog = prog;
-        work.rng_seed = util::derive_seed(seed, s);
         plan.push_back(work);
     }
     return plan;
@@ -78,10 +75,9 @@ span_planner::span_planner(schedule_spec spec) : spec_(spec) {
 
 std::vector<shard_work> span_planner::plan(std::size_t n_samples,
                                            std::size_t lanes,
-                                           const program* prog,
-                                           std::uint64_t seed) const {
+                                           const program* prog) const {
     if (spec_.policy == schedule_policy::static_spans) {
-        return make_shard_plan(n_samples, lanes, prog, seed);
+        return make_shard_plan(n_samples, lanes, prog);
     }
     QUORUM_EXPECTS_MSG(lanes >= 1, "a span plan needs at least one lane");
     // Effective grain: the configured one, floored so the span count
@@ -99,7 +95,6 @@ std::vector<shard_work> span_planner::plan(std::size_t n_samples,
         work.first = first;
         work.count = std::min(grain, n_samples - first);
         work.prog = prog;
-        work.rng_seed = util::derive_seed(seed, k);
         plan.push_back(work);
     }
     return plan;

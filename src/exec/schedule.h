@@ -27,7 +27,6 @@
 #define QUORUM_EXEC_SCHEDULE_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,20 +36,14 @@ namespace quorum::exec {
 struct program;
 
 /// One lane's slice of a batch, as plain data. In-process execution
-/// resolves `prog` and the sample span directly; a multi-process or remote
-/// executor ships the compiled program, the span's per-sample
-/// amplitudes/params, and `rng_seed` (from which a worker re-derives the
-/// span's per-sample streams) over the wire instead.
+/// resolves `prog` and the sample span directly; the worker fleet ships
+/// the compiled program and the span's samples, each with its own rng
+/// stream snapshot, over the wire instead.
 struct shard_work {
     std::size_t shard = 0;         ///< span index the work is keyed to
     std::size_t first = 0;         ///< first sample index of the span
     std::size_t count = 0;         ///< samples in the span (> 0)
     const program* prog = nullptr; ///< compiled-program handle
-    /// derive_seed(plan seed, shard). The in-process backends plan with
-    /// seed 0 and never read this field — their samples carry their own
-    /// streams; a remote executor plans with its transport seed and keys
-    /// shard-local stream derivation off this value.
-    std::uint64_t rng_seed = 0;
 };
 
 /// Builds the deterministic STATIC work plan: min(lanes, n_samples)
@@ -59,7 +52,7 @@ struct shard_work {
 /// yield the same plan.
 [[nodiscard]] std::vector<shard_work>
 make_shard_plan(std::size_t n_samples, std::size_t shards,
-                const program* prog = nullptr, std::uint64_t seed = 0);
+                const program* prog = nullptr);
 
 enum class schedule_policy {
     /// One balanced span per lane (make_shard_plan, bit-for-bit).
@@ -116,7 +109,7 @@ public:
     /// batches changes which lane pulls a span, never the spans.
     [[nodiscard]] std::vector<shard_work>
     plan(std::size_t n_samples, std::size_t lanes,
-         const program* prog = nullptr, std::uint64_t seed = 0) const;
+         const program* prog = nullptr) const;
 
 private:
     schedule_spec spec_{};

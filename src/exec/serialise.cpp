@@ -204,7 +204,6 @@ void encode_shard_work(writer& out, const shard_work& work) {
     out.u64(work.shard);
     out.u64(work.first);
     out.u64(work.count);
-    out.u64(work.rng_seed);
 }
 
 shard_work decode_shard_work(reader& in) {
@@ -212,7 +211,6 @@ shard_work decode_shard_work(reader& in) {
     work.shard = in.u64();
     work.first = in.u64();
     work.count = in.u64();
-    work.rng_seed = in.u64();
     work.prog = nullptr; // the program block travels separately
     return work;
 }
@@ -230,11 +228,7 @@ void encode_program(writer& out, const program& prog) {
     const qsim::compiled_program& circuit = prog.circuit;
     out.u32(static_cast<std::uint32_t>(circuit.num_qubits()));
     out.u32(static_cast<std::uint32_t>(circuit.num_clbits()));
-    const qsim::compile_options& opt = circuit.compiled_with();
-    out.u8(opt.fuse ? 1 : 0);
-    out.u8(opt.fuse_two_qubit ? 1 : 0);
-    out.u8(static_cast<std::uint8_t>(opt.prep));
-    out.u64(opt.parameterized_ops);
+    out.u8(static_cast<std::uint8_t>(circuit.compiled_with().prep));
     out.u32(static_cast<std::uint32_t>(circuit.slots().size()));
     for (const qsim::prep_slot& slot : circuit.slots()) {
         out.u32(static_cast<std::uint32_t>(slot.qubits.size()));
@@ -269,14 +263,11 @@ program decode_program(reader& in) {
     QUORUM_EXPECTS_MSG(num_clbits <= max_wire_qubits,
                        "wire: classical register size out of range");
     qsim::compile_options opt;
-    opt.fuse = in.u8() != 0;
-    opt.fuse_two_qubit = in.u8() != 0;
     const std::uint8_t prep = in.u8();
     QUORUM_EXPECTS_MSG(
         prep <= static_cast<std::uint8_t>(qsim::prep_style::ry_product),
         "wire: prep style byte out of range");
     opt.prep = static_cast<qsim::prep_style>(prep);
-    opt.parameterized_ops = in.u64();
 
     // Reassemble the template circuit through the validating builder, with
     // placeholder slot amplitudes (|0..0>) and the prefix's placeholder
@@ -296,11 +287,11 @@ program decode_program(reader& in) {
         c.initialize(std::span<const qubit_t>(qubits),
                      std::span<const double>(placeholder));
     }
+    // Every prefix op is a per-sample parameterized op, so the prefix
+    // length is the parameterized-op count the program was compiled with.
     const std::uint32_t n_prefix = in.u32();
     in.expect_available(n_prefix, 4);
-    QUORUM_EXPECTS_MSG(opt.parameterized_ops == n_prefix,
-                       "wire: parameterized op count does not match the "
-                       "prefix");
+    opt.parameterized_ops = n_prefix;
     for (std::uint32_t i = 0; i < n_prefix; ++i) {
         const operation op = decode_op(in);
         QUORUM_EXPECTS_MSG(op.kind == op_kind::gate,

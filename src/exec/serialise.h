@@ -1,11 +1,12 @@
 // Binary wire format for remote sharded execution.
 //
-// The remote backend ships a shard's work — the compiled program (or
-// per-level program family), the span's samples, and the per-sample RNG
-// stream snapshots — to a quorum_worker process and gets the span's
-// readout values back. This header is the single definition of that
-// format: primitive little-endian writer/reader types with bounds-checked
-// decoding, plus codecs for every composite the protocol carries.
+// The worker fleet (behind remote:<inner> and quorum_serve) ships a span's
+// work — the compiled program (or per-level program family), the span's
+// samples, and the per-sample RNG stream snapshots — to a quorum_worker
+// process and gets the span's readout values back. This header is the
+// single definition of that format: primitive little-endian writer/reader
+// types with bounds-checked decoding, plus codecs for every composite the
+// protocol carries.
 //
 // Format rules (documented for humans in docs/ARCHITECTURE.md — keep the
 // two in sync; tests/exec/test_serialise.cpp decodes the doc's example
@@ -42,7 +43,10 @@ inline constexpr std::uint32_t protocol_magic = 0x574D5251u;
 /// Bumped on ANY layout change; both handshake sides must match exactly.
 /// v2: compile_options gained the prep-style byte (angle encoding's
 /// product-state lowering travels with the program template).
-inline constexpr std::uint32_t protocol_version = 2;
+/// v3: dropped what no worker reads — the span header's rng seed, the
+/// program block's two fusion bytes and its parameterized-op count (the
+/// decoder takes it from the prefix length).
+inline constexpr std::uint32_t protocol_version = 3;
 
 /// Upper bound a transport accepts for one message (guards length-prefix
 /// framing against allocating garbage lengths from a corrupt stream).
@@ -116,17 +120,17 @@ private:
 
 // --- composite codecs -------------------------------------------------------
 
-/// Span metadata: shard index, sample span and the derived rng seed (see
-/// exec::shard_work). The program handle does not travel — the program
-/// block does, separately — so decode leaves `prog` null.
+/// Span metadata: shard index and sample span (see exec::shard_work). The
+/// program handle does not travel — the program block does, separately —
+/// so decode leaves `prog` null.
 void encode_shard_work(writer& out, const shard_work& work);
 [[nodiscard]] shard_work decode_shard_work(reader& in);
 
 /// A program: readout spec + the compiled circuit's template (slots,
-/// parameterized prefix, suffix ops, compile options). The decoder
-/// reassembles the template circuit and re-compiles it with the same
-/// options, which reproduces every precomputed matrix (and the fused
-/// suffix) bit-identically — enforced by the round-trip property tests.
+/// parameterized prefix, suffix ops, prep style). The decoder reassembles
+/// the template circuit and re-compiles it with the same options, which
+/// reproduces every precomputed matrix bit-identically — enforced by the
+/// round-trip property tests.
 void encode_program(writer& out, const program& prog);
 [[nodiscard]] program decode_program(reader& in);
 

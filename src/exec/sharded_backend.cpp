@@ -11,11 +11,10 @@ namespace quorum::exec {
 namespace {
 
 /// Validates and instantiates the wrapped backend: one plain registered
-/// name — "sharded" (or any spec with an inner of its own) cannot nest.
+/// name — no wrapper (or any spec with an inner of its own) can nest.
 std::unique_ptr<executor> make_inner(const engine_config& config,
                                      const std::string& inner) {
-    QUORUM_EXPECTS_MSG(!inner.empty() && inner != "sharded" &&
-                           inner.find(':') == std::string::npos,
+    QUORUM_EXPECTS_MSG(is_plain_engine_name(inner),
                        "the sharded backend wraps one plain inner backend "
                        "name (no nesting)");
     return make_executor(inner, config);

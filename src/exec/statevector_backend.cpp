@@ -393,16 +393,6 @@ program_plan make_plan(const program& prog) {
     return plan;
 }
 
-/// The value reported for a readout probability: itself under exact
-/// sampling, else a Binomial(shots, p_one) draw from `gen` over shots.
-double report(const engine_config& config, util::rng* gen, double p_one) {
-    if (config.sampling_mode == sampling::exact) {
-        return p_one;
-    }
-    return static_cast<double>(gen->binomial(config.shots, p_one)) /
-           static_cast<double>(config.shots);
-}
-
 void check_probability_readout(const readout_spec& spec, sampling mode) {
     QUORUM_EXPECTS_MSG(mode == sampling::exact ||
                            spec.kind == readout_kind::cbit_probability ||
@@ -779,9 +769,10 @@ void run_lane_block(const engine_config& config,
         const sample& s = samples[first + lane];
         for (std::size_t k = 0; k < level_count; ++k) {
             out[(first + lane) * level_count + k] =
-                report(config, s.level_gens.empty() ? nullptr
-                                                    : s.level_gens[k],
-                       lanes.p_one[lane * level_count + k]);
+                report_probability(config,
+                                   s.level_gens.empty() ? nullptr
+                                                        : s.level_gens[k],
+                                   lanes.p_one[lane * level_count + k]);
         }
     }
 }
@@ -834,9 +825,8 @@ void replay_sample(const engine_config& config,
         } else {
             p_one = read_out(level.readout, level.circuit, *final_branches);
         }
-        out[k] = report(config,
-                        s.level_gens.empty() ? nullptr : s.level_gens[k],
-                        p_one);
+        out[k] = report_probability(
+            config, s.level_gens.empty() ? nullptr : s.level_gens[k], p_one);
         if (k + 1 < count && trunk_pos > family.fork[k + 1]) {
             // The trunk evolved past the next level's fork point (only
             // possible for non-nested level orderings): rebuild it
@@ -1013,14 +1003,8 @@ double statevector_backend::run(const qsim::circuit& c, int cbit,
     case sampling::binomial: {
         const qsim::exact_run_result result =
             qsim::statevector_runner::run_exact(c);
-        const double p_one = result.cbit_probability_one(cbit);
-        if (config_.sampling_mode == sampling::exact) {
-            return p_one;
-        }
-        QUORUM_EXPECTS_MSG(gen != nullptr,
-                           "sampling modes need an rng stream");
-        return static_cast<double>(gen->binomial(config_.shots, p_one)) /
-               static_cast<double>(config_.shots);
+        return report_probability(config_, gen,
+                                  result.cbit_probability_one(cbit));
     }
     case sampling::per_shot: {
         QUORUM_EXPECTS_MSG(gen != nullptr,
@@ -1060,20 +1044,28 @@ void statevector_backend::run_batch(const program& prog,
                 p_one = read_out(prog.readout, prog.circuit,
                                  buffers.branches);
             }
-            out[i] = report(config_, samples[i].gen, p_one);
+            out[i] = report_probability(config_, samples[i].gen, p_one);
         }
         return;
     }
 
-    // Per-shot stochastic replay over the fused suffix. The unitary head
-    // before the first reset/measure is shot-independent, so it is applied
-    // once per sample and only the stochastic tail re-runs per shot.
+    // Per-shot stochastic replay over the suffix with its gates fused into
+    // 2x2/4x4 blocks: equal up to rounding, which per-shot sampling allows
+    // and exact replay does not, so this is the one place that fuses. The
+    // unitary head before the first reset/measure is shot-independent, so
+    // it is applied once per sample and only the stochastic tail re-runs
+    // per shot.
     QUORUM_EXPECTS_MSG(prog.readout.kind == readout_kind::cbit_probability,
                        "per-shot sampling reads a classical bit");
-    QUORUM_EXPECTS_MSG(prog.circuit.has_fused_suffix(),
-                       "per-shot replay requires a program compiled with "
-                       "fusion enabled");
-    const std::vector<fused_op>& fused = prog.circuit.fused_suffix();
+    std::vector<operation> suffix_ops;
+    suffix_ops.reserve(prog.circuit.suffix().size());
+    for (const compiled_op& compiled : prog.circuit.suffix()) {
+        QUORUM_EXPECTS_MSG(compiled.op.kind != op_kind::initialize,
+                           "per-shot replay cannot fuse a suffix that "
+                           "holds an initialize op");
+        suffix_ops.push_back(compiled.op);
+    }
+    const std::vector<fused_op> fused = qsim::fuse_operations(suffix_ops);
     std::size_t head_end = 0;
     while (head_end < fused.size() &&
            fused[head_end].op == fused_op::kind::unitary) {

@@ -31,9 +31,7 @@ worker_session::handle(std::span<const std::uint8_t> request) {
             // PLAIN backend. In particular "remote"/"sharded" must fail
             // here — a corrupted hello must never make a worker spawn
             // grandchild workers or an all-cores shard pool.
-            QUORUM_EXPECTS_MSG(!inner.empty() && inner != "remote" &&
-                                   inner != "sharded" &&
-                                   inner.find(':') == std::string::npos,
+            QUORUM_EXPECTS_MSG(is_plain_engine_name(inner),
                                "wire: worker engines are plain backend "
                                "names");
             engine_ = make_executor(inner, config);

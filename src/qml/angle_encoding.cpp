@@ -75,14 +75,6 @@ std::vector<double> to_angle_amplitudes(std::span<const double> features,
     return amplitudes;
 }
 
-qsim::statevector encode_angle_state(std::span<const double> features,
-                                     std::size_t n_qubits) {
-    const std::vector<double> amplitudes =
-        to_angle_amplitudes(features, n_qubits);
-    std::vector<qsim::amp> complex_amps(amplitudes.begin(), amplitudes.end());
-    return qsim::statevector::from_amplitudes(std::move(complex_amps));
-}
-
 qsim::circuit angle_encoding_circuit(std::span<const double> features,
                                      std::size_t n_qubits) {
     QUORUM_EXPECTS_MSG(n_qubits >= 1 && n_qubits <= 20,

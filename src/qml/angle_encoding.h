@@ -67,10 +67,6 @@ void encode_angle_amplitudes(std::span<const double> features,
 [[nodiscard]] std::vector<double>
 to_angle_amplitudes(std::span<const double> features, std::size_t n_qubits);
 
-/// The encoded pure state (exact fast path, no gates).
-[[nodiscard]] qsim::statevector
-encode_angle_state(std::span<const double> features, std::size_t n_qubits);
-
 /// The O(n)-depth gate-level preparation circuit: RY(pi * f_j) on qubit j.
 [[nodiscard]] qsim::circuit
 angle_encoding_circuit(std::span<const double> features, std::size_t n_qubits);

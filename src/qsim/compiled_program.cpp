@@ -48,7 +48,6 @@ util::cmatrix swap_pair_order(const util::cmatrix& u) {
 struct pending_block {
     std::vector<qubit_t> qubits; ///< sorted ascending (matrix LSB first)
     util::cmatrix matrix;
-    std::size_t source_gates = 0;
 };
 
 fused_op finish_block(pending_block&& block) {
@@ -56,7 +55,6 @@ fused_op finish_block(pending_block&& block) {
     out.op = fused_op::kind::unitary;
     out.qubits = std::move(block.qubits);
     out.matrix = std::move(block.matrix);
-    out.source_gates = block.source_gates;
     out.offsets = make_offsets(out.qubits);
     out.sorted_qubits = out.qubits;
     std::sort(out.sorted_qubits.begin(), out.sorted_qubits.end());
@@ -79,8 +77,7 @@ bool overlaps(std::span<const qubit_t> a, std::span<const qubit_t> b) {
 
 } // namespace
 
-std::vector<fused_op> fuse_operations(std::span<const operation> ops,
-                                      bool fuse_two_qubit) {
+std::vector<fused_op> fuse_operations(std::span<const operation> ops) {
     std::vector<fused_op> out;
     std::vector<pending_block> pending;
 
@@ -89,19 +86,6 @@ std::vector<fused_op> fuse_operations(std::span<const operation> ops,
             out.push_back(finish_block(std::move(block)));
         }
         pending.clear();
-    };
-    const auto emit_standalone = [&](const operation& op,
-                                     util::cmatrix matrix) {
-        // A gate that cannot merge also cannot be emitted ahead of pending
-        // blocks it might overlap, so fence everything first. The operand
-        // order is kept as declared (matrix LSB = qubits[0]).
-        flush();
-        pending_block block;
-        block.qubits = op.qubits;
-        block.matrix = std::move(matrix);
-        block.source_gates = 1;
-        pending.push_back(std::move(block));
-        flush();
     };
 
     for (const operation& op : ops) {
@@ -142,18 +126,16 @@ std::vector<fused_op> fuse_operations(std::span<const operation> ops,
                     block.matrix = embed_1q_in_pair(matrix, position)
                                        .multiply(block.matrix);
                 }
-                ++block.source_gates;
                 merged = true;
                 break;
             }
             if (!merged) {
-                pending.push_back(
-                    pending_block{{q}, std::move(matrix), 1});
+                pending.push_back(pending_block{{q}, std::move(matrix)});
             }
             continue;
         }
 
-        if (arity == 2 && fuse_two_qubit) {
+        if (arity == 2) {
             const qubit_t lo = std::min(op.qubits[0], op.qubits[1]);
             const qubit_t hi = std::max(op.qubits[0], op.qubits[1]);
             const std::vector<qubit_t> pair{lo, hi};
@@ -170,9 +152,6 @@ std::vector<fused_op> fuse_operations(std::span<const operation> ops,
                     break; // cannot commute the new gate past this block
                 }
             }
-            pending_block combined;
-            combined.qubits = pair;
-            combined.source_gates = 1;
             util::cmatrix acc = util::cmatrix::identity(4);
             // collected is newest-first; apply in temporal (oldest-first)
             // order so acc = U_newest ... U_oldest.
@@ -184,21 +163,23 @@ std::vector<fused_op> fuse_operations(std::span<const operation> ops,
                         : embed_1q_in_pair(block.matrix,
                                            block.qubits[0] == lo ? 0 : 1);
                 acc = embedded.multiply(acc);
-                combined.source_gates += block.source_gates;
             }
-            combined.matrix = gate4.multiply(acc);
             // Erase collected blocks (indices are descending already).
             for (const std::size_t index : collected) {
                 pending.erase(pending.begin() +
                               static_cast<std::ptrdiff_t>(index));
             }
-            pending.push_back(std::move(combined));
+            pending.push_back(pending_block{pair, gate4.multiply(acc)});
             continue;
         }
 
-        // 3-qubit gates (and 2-qubit gates with pair fusion disabled) are
-        // emitted as standalone dense blocks.
-        emit_standalone(op, std::move(matrix));
+        // 3-qubit gates are standalone dense blocks. A gate that cannot
+        // merge also cannot be emitted ahead of pending blocks it might
+        // overlap, so fence everything first. The operand order is kept
+        // as declared (matrix LSB = qubits[0]).
+        flush();
+        out.push_back(
+            finish_block(pending_block{op.qubits, std::move(matrix)}));
     }
     flush();
     return out;
@@ -258,7 +239,6 @@ compiled_program compiled_program::compile(const circuit& c,
                                "measurements per qubit");
         }
     };
-    bool suffix_has_initialize = false;
     for (; cursor < ops.size(); ++cursor) {
         const operation& op = ops[cursor];
         if (op.kind == op_kind::barrier) {
@@ -295,7 +275,6 @@ compiled_program compiled_program::compile(const circuit& c,
             program.measures_.emplace_back(op.qubits[0], op.cbit);
             break;
         case op_kind::initialize:
-            suffix_has_initialize = true;
             compiled.register_mask = make_mask(op.qubits);
             compiled.offsets = make_offsets(op.qubits);
             break;
@@ -306,16 +285,6 @@ compiled_program compiled_program::compile(const circuit& c,
         }
         program.suffix_.push_back(std::move(compiled));
     }
-
-    if (opt.fuse && !suffix_has_initialize) {
-        std::vector<operation> suffix_ops;
-        suffix_ops.reserve(program.suffix_.size());
-        for (const compiled_op& compiled : program.suffix_) {
-            suffix_ops.push_back(compiled.op);
-        }
-        program.fused_ = fuse_operations(suffix_ops, opt.fuse_two_qubit);
-        program.fused_built_ = true;
-    }
     return program;
 }
 
@@ -325,13 +294,6 @@ std::size_t compiled_program::suffix_gate_count() const noexcept {
                       [](const compiled_op& compiled) {
                           return compiled.op.kind == op_kind::gate;
                       }));
-}
-
-std::size_t compiled_program::fused_unitary_count() const noexcept {
-    return static_cast<std::size_t>(
-        std::count_if(fused_.begin(), fused_.end(), [](const fused_op& op) {
-            return op.op == fused_op::kind::unitary;
-        }));
 }
 
 bool replays_identically(const operation& a, const operation& b) {

@@ -14,15 +14,13 @@
 //                     once, with gate matrices precomputed so replay skips
 //                     per-sample trigonometry and re-validation. Replaying
 //                     the suffix is bit-identical to applying the original
-//                     circuit op by op;
-//   * fused suffix  — the same suffix with adjacent single-qubit gates
-//                     merged into 2x2 unitaries and (optionally) adjacent
-//                     two-qubit blocks into 4x4 ones. Equal to the unfused
-//                     suffix as an operator, but not bit-identical — engines
-//                     use it where exact replay is not contractually
-//                     required (e.g. per-shot sampling).
+//                     circuit op by op.
 //
 // Compile once per (group, level); replay across every sample in a bucket.
+// Gate fusion (fuse_operations) is not part of compilation: adjacent gates
+// merged into 2x2/4x4 unitaries equal the suffix as an operator but not
+// bit for bit, so only the per-shot replay, which may use them, fuses —
+// and it fuses the suffix it replays.
 #ifndef QUORUM_QSIM_COMPILED_PROGRAM_H
 #define QUORUM_QSIM_COMPILED_PROGRAM_H
 
@@ -64,8 +62,8 @@ struct compiled_op {
     std::size_t register_mask = 0;
 };
 
-/// One fused suffix op: either a dense unitary over 1-3 qubits (the merge
-/// of `source_gates` original gates) or a structural reset/measure.
+/// One fused op (fuse_operations): either a dense unitary over 1-3 qubits
+/// (the merge of adjacent gates) or a structural reset/measure.
 /// `sorted_qubits` / `offsets` are the kernel metadata apply_matrix would
 /// otherwise rebuild per application — precomputed so replay stays
 /// allocation-free (see statevector::apply_matrix_prepared).
@@ -75,7 +73,6 @@ struct fused_op {
     std::vector<qubit_t> qubits;
     util::cmatrix matrix; ///< unitary only; 2^k x 2^k over `qubits`
     int cbit = -1;        ///< measure only
-    std::size_t source_gates = 0;
     std::vector<qubit_t> sorted_qubits;
     std::vector<std::size_t> offsets;
 };
@@ -95,10 +92,6 @@ enum class prep_style : std::uint8_t {
 
 /// Compilation knobs.
 struct compile_options {
-    /// Build the fused suffix (adjacent single-qubit gates -> 2x2).
-    bool fuse = true;
-    /// Additionally merge into 4x4 two-qubit blocks.
-    bool fuse_two_qubit = true;
     /// Number of leading non-initialize ops whose rotation params are
     /// supplied per sample (each op consumes gate_param_count angles
     /// from the sample's param stream, in op order).
@@ -119,8 +112,8 @@ public:
 
     /// Splits `c` into prep slots / parameterized prefix / shared suffix,
     /// validates it once (qubit arities, terminal measurements), and
-    /// precomputes gate matrices (+ the fused suffix when enabled).
-    /// Throws util::contract_error on malformed circuits.
+    /// precomputes gate matrices. Throws util::contract_error on malformed
+    /// circuits.
     [[nodiscard]] static compiled_program compile(const circuit& c,
                                                   const options& opt = {});
 
@@ -159,26 +152,18 @@ public:
     [[nodiscard]] const std::vector<compiled_op>& suffix() const noexcept {
         return suffix_;
     }
-    /// Fused suffix; empty when options.fuse was false.
-    [[nodiscard]] const std::vector<fused_op>& fused_suffix() const noexcept {
-        return fused_;
-    }
-    [[nodiscard]] bool has_fused_suffix() const noexcept {
-        return fused_built_;
-    }
     /// (qubit, cbit) pairs of every measure op, in circuit order.
     [[nodiscard]] const std::vector<std::pair<qubit_t, int>>&
     measures() const noexcept {
         return measures_;
     }
-    /// Gate ops in the unfused suffix (fusion-benefit accounting).
+    /// Gate ops in the suffix.
     [[nodiscard]] std::size_t suffix_gate_count() const noexcept;
-    /// Unitary blocks in the fused suffix.
-    [[nodiscard]] std::size_t fused_unitary_count() const noexcept;
 
     /// Reassembles a plain per-sample circuit (slot amplitudes and prefix
-    /// params substituted) — for engines that consume whole circuits, such
-    /// as the density-matrix backend. Barriers are not restored.
+    /// params substituted): the whole circuit a batched replay of this
+    /// sample must agree with, which tests run through the circuit-level
+    /// engines as their reference. Barriers are not restored.
     [[nodiscard]] circuit
     materialize(std::span<const double> amplitudes,
                 std::span<const double> prefix_params = {}) const;
@@ -191,15 +176,17 @@ private:
     std::vector<operation> prefix_;
     std::size_t prefix_param_count_ = 0;
     std::vector<compiled_op> suffix_;
-    std::vector<fused_op> fused_;
-    bool fused_built_ = false;
     std::vector<std::pair<qubit_t, int>> measures_;
 };
 
-/// Fuses a gates-only op sequence (exposed for tests/benches): merges
-/// adjacent compatible gates, commuting past blocks on disjoint qubits.
+/// Fuses an op sequence of gates, resets, measures and barriers: merges
+/// adjacent single-qubit gates into 2x2 unitaries and two-qubit gates with
+/// their neighbours into 4x4 ones, commuting past blocks on disjoint
+/// qubits; resets and measures fence the merging. The result acts as
+/// `ops` does up to rounding, not bit for bit. Throws util::contract_error
+/// on any other op kind.
 [[nodiscard]] std::vector<fused_op>
-fuse_operations(std::span<const operation> ops, bool fuse_two_qubit = true);
+fuse_operations(std::span<const operation> ops);
 
 /// True when replaying `a` and `b` produces equal results: same structural
 /// fields and (==-equal) parameters/amplitudes. Equality here is IEEE ==

@@ -33,10 +33,6 @@ double welford_accumulator::stddev_population() const noexcept {
     return std::sqrt(variance_population());
 }
 
-double welford_accumulator::stddev_sample() const noexcept {
-    return std::sqrt(variance_sample());
-}
-
 void welford_accumulator::merge(const welford_accumulator& other) noexcept {
     if (other.count_ == 0) {
         return;

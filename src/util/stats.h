@@ -29,9 +29,6 @@ public:
     /// Population standard deviation.
     [[nodiscard]] double stddev_population() const noexcept;
 
-    /// Sample standard deviation.
-    [[nodiscard]] double stddev_sample() const noexcept;
-
     /// Merges another accumulator into this one (parallel reduction).
     void merge(const welford_accumulator& other) noexcept;
 

@@ -2,7 +2,10 @@
 // behaviour of the full pipeline (the benches print them; these assert
 // them, at reduced scale, so regressions fail CI rather than just
 // changing a table).
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +15,6 @@
 #include "baseline/trained_qae.h"
 #include "core/quorum.h"
 #include "data/generators.h"
-#include "data/split.h"
 #include "metrics/confusion.h"
 #include "metrics/detection_curve.h"
 #include "metrics/roc.h"
@@ -177,22 +179,56 @@ TEST(PaperClaims, TrainedQaeNeedsOrdersOfMagnitudeMoreCircuits) {
     EXPECT_GE(qae.training_circuit_evaluations(), 5000u);
 }
 
+/// The labelled rows `rows` of `input`, in that order.
+data::dataset gather_rows(const data::dataset& input,
+                          std::span<const std::size_t> rows) {
+    std::vector<std::vector<double>> values;
+    std::vector<int> labels;
+    for (const std::size_t r : rows) {
+        values.emplace_back(input.row(r).begin(), input.row(r).end());
+        labels.push_back(input.label(r));
+    }
+    return data::dataset::from_rows(values, std::move(labels));
+}
+
 TEST(PaperClaims, QnnGeneralisesFromStratifiedSplit) {
-    // Train-on-split / test-on-rest protocol via data::stratified_split:
-    // the supervised baseline must transfer its precision to held-out rows.
+    // Train-on-split / test-on-rest protocol: per class, a shuffled half
+    // of the rows (at least one, never all) trains the supervised baseline,
+    // which must transfer its precision to the held-out rows.
     quorum::util::rng gen(2025);
     quorum::util::rng g3 = gen.child(3);
     const data::dataset plant = data::make_power_plant(g3);
     quorum::util::rng split_gen(5);
-    const data::split_result split =
-        data::stratified_split(plant, 0.5, split_gen);
+    std::vector<std::size_t> class_rows[2];
+    for (std::size_t i = 0; i < plant.num_samples(); ++i) {
+        class_rows[static_cast<std::size_t>(plant.label(i))].push_back(i);
+    }
+    std::vector<std::size_t> train_rows;
+    std::vector<std::size_t> test_rows;
+    for (std::vector<std::size_t>& rows : class_rows) {
+        split_gen.shuffle(std::span<std::size_t>(rows));
+        const auto take = std::clamp<std::size_t>(
+            static_cast<std::size_t>(
+                std::lround(0.5 * static_cast<double>(rows.size()))),
+            1, rows.size() - 1);
+        train_rows.insert(train_rows.end(), rows.begin(),
+                          rows.begin() + static_cast<std::ptrdiff_t>(take));
+        test_rows.insert(test_rows.end(),
+                         rows.begin() + static_cast<std::ptrdiff_t>(take),
+                         rows.end());
+    }
+    split_gen.shuffle(std::span<std::size_t>(train_rows));
+    split_gen.shuffle(std::span<std::size_t>(test_rows));
+    const data::dataset train = gather_rows(plant, train_rows);
+    const data::dataset test = gather_rows(plant, test_rows);
+
     baseline::qnn_config config;
     config.epochs = 8;
     config.seed = 2025;
     baseline::qnn_classifier qnn(config);
-    qnn.fit(split.train);
+    qnn.fit(train);
     const auto counts =
-        metrics::evaluate_flags(split.test.labels(), qnn.predict(split.test));
+        metrics::evaluate_flags(test.labels(), qnn.predict(test));
     if (counts.true_positive + counts.false_positive > 0) {
         EXPECT_GT(counts.precision(), 0.8);
     } else {

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -166,6 +168,38 @@ TEST(StatevectorBackend, PerShotConvergesToExactProbability) {
     engine->run_batch(shot_program, fixture.make_samples(&gens), sampled);
     for (std::size_t i = 0; i < exact.size(); ++i) {
         EXPECT_NEAR(sampled[i], exact[i], 0.05) << i;
+    }
+}
+
+TEST(StatevectorBackend, PerShotRejectsASuffixHoldingInitialize) {
+    // Per-shot replay fuses the suffix it replays, and fusion takes gates,
+    // resets and measures only: an initialize behind the first gate is a
+    // contract error that names the per-shot replay.
+    qsim::circuit c(1, 1);
+    const qsim::qubit_t reg[] = {0};
+    const double amps[] = {0.6, 0.8};
+    c.h(0);
+    c.initialize(reg, amps);
+    c.measure(0, 0);
+    exec::program program;
+    program.circuit = qsim::compiled_program::compile(c);
+    program.readout.cbit = 0;
+    exec::engine_config config;
+    config.sampling_mode = exec::sampling::per_shot;
+    config.shots = 8;
+    const auto engine = exec::make_executor("statevector", config);
+    util::rng gen(3);
+    exec::sample s;
+    s.gen = &gen;
+    const exec::sample batch[] = {s};
+    double out = 0.0;
+    try {
+        engine->run_batch(program, batch, std::span<double>(&out, 1));
+        ADD_FAILURE() << "per-shot replay accepted a suffix initialize";
+    } catch (const util::contract_error& error) {
+        EXPECT_NE(std::string(error.what()).find("per-shot replay"),
+                  std::string::npos)
+            << error.what();
     }
 }
 

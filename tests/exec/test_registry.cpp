@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/fleet.h"
 #include "exec/registry.h"
+#include "exec/sharded_backend.h"
 #include "util/contracts.h"
 
 namespace {
@@ -34,6 +36,28 @@ TEST(ExecRegistry, UnknownBackendThrowsWithKnownNames) {
         const std::string what = error.what();
         EXPECT_NE(what.find("warp-drive"), std::string::npos);
         EXPECT_NE(what.find("statevector"), std::string::npos);
+    }
+}
+
+TEST(ExecRegistry, EveryInnerEngineNameSiteRejectsWrappersAndComposites) {
+    // One predicate decides what a wrapper may run its lanes on; the worker
+    // hello and quorum_serve --backend are checked in their own suites.
+    EXPECT_TRUE(exec::is_plain_engine_name("statevector"));
+    EXPECT_TRUE(exec::is_plain_engine_name("density"));
+    for (const std::string name : {"sharded", "remote", "fleet", "a:b", ""}) {
+        EXPECT_FALSE(exec::is_plain_engine_name(name)) << name;
+        for (const std::string wrapper : {"sharded:", "remote:"}) {
+            EXPECT_THROW((void)exec::parse_backend_spec(wrapper + name),
+                         util::contract_error)
+                << wrapper << name;
+        }
+        EXPECT_THROW(exec::sharded_backend(exec::engine_config{}, name),
+                     util::contract_error)
+            << name;
+        exec::fleet_config fleet;
+        fleet.inner = name;
+        EXPECT_THROW(exec::worker_fleet{fleet}, util::contract_error)
+            << name;
     }
 }
 

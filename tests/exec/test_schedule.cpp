@@ -244,14 +244,13 @@ TEST(Schedule, StaticPlansAreMakeShardPlanVerbatim) {
     const exec::span_planner planner(exec::parse_schedule_spec("static"));
     for (const std::size_t n : {1u, 7u, 60u, 241u}) {
         for (const std::size_t lanes : {1u, 2u, 3u, 7u, 64u}) {
-            const auto plan = planner.plan(n, lanes, nullptr, 5);
-            const auto direct = exec::make_shard_plan(n, lanes, nullptr, 5);
+            const auto plan = planner.plan(n, lanes);
+            const auto direct = exec::make_shard_plan(n, lanes);
             ASSERT_EQ(plan.size(), direct.size());
             for (std::size_t k = 0; k < plan.size(); ++k) {
                 EXPECT_EQ(plan[k].shard, direct[k].shard);
                 EXPECT_EQ(plan[k].first, direct[k].first);
                 EXPECT_EQ(plan[k].count, direct[k].count);
-                EXPECT_EQ(plan[k].rng_seed, direct[k].rng_seed);
             }
         }
     }
@@ -261,7 +260,7 @@ TEST(Schedule, DynamicPlansAreContiguousGrainSizedAndSeeded) {
     const exec::span_planner planner(
         exec::parse_schedule_spec("dynamic:3"));
     for (const std::size_t n : {1u, 3u, 7u, 60u, 241u}) {
-        const auto plan = planner.plan(n, 4, nullptr, 2025);
+        const auto plan = planner.plan(n, 4);
         ASSERT_EQ(plan.size(), (n + 2) / 3);
         std::size_t covered = 0;
         for (std::size_t k = 0; k < plan.size(); ++k) {
@@ -269,7 +268,6 @@ TEST(Schedule, DynamicPlansAreContiguousGrainSizedAndSeeded) {
             EXPECT_EQ(plan[k].first, covered);
             EXPECT_GT(plan[k].count, 0u);
             EXPECT_LE(plan[k].count, 3u);
-            EXPECT_EQ(plan[k].rng_seed, util::derive_seed(2025, k));
             covered += plan[k].count;
         }
         EXPECT_EQ(covered, n);
@@ -283,14 +281,13 @@ TEST(Schedule, DynamicPlansIgnoreTheLaneCount) {
     // under dynamic dispatch.
     const exec::span_planner planner(
         exec::parse_schedule_spec("dynamic:5"));
-    const auto one = planner.plan(83, 1, nullptr, 7);
+    const auto one = planner.plan(83, 1);
     for (const std::size_t lanes : {2u, 3u, 64u}) {
-        const auto plan = planner.plan(83, lanes, nullptr, 7);
+        const auto plan = planner.plan(83, lanes);
         ASSERT_EQ(plan.size(), one.size());
         for (std::size_t k = 0; k < plan.size(); ++k) {
             EXPECT_EQ(plan[k].first, one[k].first);
             EXPECT_EQ(plan[k].count, one[k].count);
-            EXPECT_EQ(plan[k].rng_seed, one[k].rng_seed);
         }
     }
 }

@@ -130,8 +130,6 @@ TEST(WireSerialise, ProgramRoundTripPreservesStructure) {
         // Recompiling the shipped template reproduces every precomputed
         // matrix: the whole suffix replays identically, op by op.
         EXPECT_EQ(qsim::shared_suffix_ops(a, b), a.suffix().size());
-        EXPECT_EQ(b.has_fused_suffix(), a.has_fused_suffix());
-        EXPECT_EQ(b.fused_unitary_count(), a.fused_unitary_count());
         EXPECT_EQ(b.measures(), a.measures());
     }
 }
@@ -393,7 +391,7 @@ TEST(WireSerialise, DocumentedHelloPayloadDecodes) {
     const std::uint8_t doc_payload[] = {
         0x01,                   // message type: hello
         0x51, 0x52, 0x4D, 0x57, // magic "QRMW"
-        0x02, 0x00, 0x00, 0x00, // protocol version 2
+        0x03, 0x00, 0x00, 0x00, // protocol version 3
         0x0B, 0x00, 0x00, 0x00, // inner name length: 11
         's', 't', 'a', 't', 'e', 'v', 'e', 'c', 't', 'o', 'r',
         0x00,                                           // sampling: exact
@@ -413,27 +411,25 @@ TEST(WireSerialise, DocumentedHelloPayloadDecodes) {
     const std::uint8_t doc_reply[] = {
         0x02,                   // message type: hello_ack
         0x51, 0x52, 0x4D, 0x57, // magic "QRMW"
-        0x02, 0x00, 0x00, 0x00, // protocol version 2
+        0x03, 0x00, 0x00, 0x00, // protocol version 3
     };
     ASSERT_EQ(reply.size(), sizeof(doc_reply));
     EXPECT_EQ(std::memcmp(reply.data(), doc_reply, sizeof(doc_reply)), 0);
 }
 
 TEST(WireSerialise, DocumentedShardWorkLayoutMatchesEncoder) {
-    // docs/ARCHITECTURE.md documents the span header as four u64 fields
-    // (shard, first, count, rng_seed), little-endian.
+    // docs/ARCHITECTURE.md documents the span header as three u64 fields
+    // (shard, first, count), little-endian.
     exec::shard_work work;
     work.shard = 2;
     work.first = 16;
     work.count = 8;
-    work.rng_seed = 0x0102030405060708ull;
     exec::wire::writer out;
     exec::wire::encode_shard_work(out, work);
     const std::uint8_t doc_bytes[] = {
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // shard
         0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // first
         0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count
-        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // rng_seed
     };
     ASSERT_EQ(out.data().size(), sizeof(doc_bytes));
     EXPECT_EQ(
@@ -501,8 +497,8 @@ TEST(WorkerSession, WrapperEngineNamesAreRejectedAtHello) {
     // A worker must never host a wrapper engine: inner = "remote" would
     // fork grandchild workers, "sharded" would spin an all-cores pool —
     // a single corrupted hello byte must not be able to do either.
-    for (const char* inner : {"remote", "sharded", "sharded:statevector",
-                              ""}) {
+    for (const char* inner : {"remote", "sharded", "fleet", "a:b",
+                              "sharded:statevector", ""}) {
         exec::worker_session session;
         const std::string text = error_text(session.handle(
             make_hello_payload(exec::wire::protocol_version, inner)));

@@ -193,8 +193,8 @@ TEST(ShardedBackend, MoreShardsThanSamplesStillCoversEverySample) {
 TEST(ShardedBackend, PlanIsStableContiguousAndBalanced) {
     for (const std::size_t n : {1u, 7u, 60u, 241u}) {
         for (const std::size_t shards : {1u, 2u, 3u, 7u, 64u}) {
-            const auto plan = exec::make_shard_plan(n, shards, nullptr, 5);
-            const auto replay = exec::make_shard_plan(n, shards, nullptr, 5);
+            const auto plan = exec::make_shard_plan(n, shards);
+            const auto replay = exec::make_shard_plan(n, shards);
             ASSERT_EQ(plan.size(), replay.size());
             std::size_t covered = 0;
             for (std::size_t k = 0; k < plan.size(); ++k) {
@@ -202,7 +202,6 @@ TEST(ShardedBackend, PlanIsStableContiguousAndBalanced) {
                 EXPECT_EQ(plan[k].shard, replay[k].shard);
                 EXPECT_EQ(plan[k].first, replay[k].first);
                 EXPECT_EQ(plan[k].count, replay[k].count);
-                EXPECT_EQ(plan[k].rng_seed, replay[k].rng_seed);
                 EXPECT_EQ(plan[k].first, covered); // contiguous, in order
                 EXPECT_GT(plan[k].count, 0u);      // no empty spans
                 // Balanced to within one sample.
@@ -218,8 +217,8 @@ TEST(ShardedBackend, PlanIsStableContiguousAndBalanced) {
 TEST(ShardedBackend, PathologicalShardCountsAreCappedNotLooped) {
     // An unsigned wrap of "-1" (or any huge value) must not spin 2^64
     // plan iterations or overflow the span arithmetic.
-    const auto plan = exec::make_shard_plan(
-        5, std::numeric_limits<std::size_t>::max(), nullptr, 1);
+    const auto plan =
+        exec::make_shard_plan(5, std::numeric_limits<std::size_t>::max());
     ASSERT_EQ(plan.size(), 5u);
     for (std::size_t k = 0; k < plan.size(); ++k) {
         EXPECT_EQ(plan[k].first, k);
@@ -230,13 +229,6 @@ TEST(ShardedBackend, PathologicalShardCountsAreCappedNotLooped) {
     config.shards = std::numeric_limits<std::size_t>::max();
     const exec::sharded_backend engine(config, "statevector");
     EXPECT_EQ(engine.shard_count(), 256u);
-}
-
-TEST(ShardedBackend, PlanSeedsAreDerivedPerShard) {
-    const auto plan = exec::make_shard_plan(16, 4, nullptr, 2025);
-    for (const exec::shard_work& work : plan) {
-        EXPECT_EQ(work.rng_seed, quorum::util::derive_seed(2025, work.shard));
-    }
 }
 
 TEST(ShardedBackend, FailingShardSurfacesAsStructuredError) {

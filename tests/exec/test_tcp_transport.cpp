@@ -258,7 +258,7 @@ TEST(TcpTransport, FramedHelloMatchesTheDocumentedBytes) {
         0x51, 0x00, 0x00, 0x00,  // frame length: 81
         0x01,                    // message type: hello
         0x51, 0x52, 0x4D, 0x57,  // magic "QRMW"
-        0x02, 0x00, 0x00, 0x00,  // protocol version 2
+        0x03, 0x00, 0x00, 0x00,  // protocol version 3
         0x0B, 0x00, 0x00, 0x00,  // inner name length: 11
         's', 't', 'a', 't', 'e', 'v', 'e', 'c', 't', 'o', 'r',
         0x00,                                            // sampling: exact

@@ -139,12 +139,12 @@ TEST(WorkerCli, RejectsUnknownOptionsAndConflictingModes) {
 
 enum class kind { toggle, text, count, integer, real, choice };
 
-/// One row of a tool's flag table: its names, what its value is, and a
-/// near miss its parser must reject.
+/// One row of a tool's flag table: its names, what its value is, and the
+/// near misses its parser must reject.
 struct flag_row {
     std::vector<std::string> names;
     kind type;
-    std::string near_miss = {};
+    std::vector<std::string> near_misses = {};
 };
 
 using flag_rows = std::vector<flag_row>;
@@ -167,14 +167,15 @@ flag_rows concat(std::initializer_list<flag_rows> parts) {
 std::vector<tool_flags> all_tools() {
     const flag_row help{{"-h", "--help"}, kind::toggle};
     const flag_rows scoring = {
-        {{"--groups"}, kind::count},
-        {{"--shots"}, kind::count},
-        {{"--qubits"}, kind::count},
-        {{"--rate"}, kind::real},
-        {{"--bucket-prob"}, kind::real},
-        {{"--mode"}, kind::choice, "Sampled"},
-        {{"--encoding"}, kind::choice, "Angle"},
-        {{"--schedule"}, kind::choice, "dynamic:x"},
+        {{"--groups"}, kind::count, {"0"}},
+        // Every scoring tool defaults to sampled mode, which needs a shot.
+        {{"--shots"}, kind::count, {"0"}},
+        {{"--qubits"}, kind::count, {"0", "1", "11"}},
+        {{"--rate"}, kind::real, {"0", "1", "2"}},
+        {{"--bucket-prob"}, kind::real, {"0", "1"}},
+        {{"--mode"}, kind::choice, {"Sampled"}},
+        {{"--encoding"}, kind::choice, {"Angle"}},
+        {{"--schedule"}, kind::choice, {"dynamic:x"}},
         {{"--seed"}, kind::count},
     };
     const flag_rows table = {
@@ -195,22 +196,22 @@ std::vector<tool_flags> all_tools() {
     };
     const flag_rows stream = {
         help,
-        {{"--scenario"}, kind::choice, "Drift"},
-        {{"--samples"}, kind::count, "0"},
+        {{"--scenario"}, kind::choice, {"Drift"}},
+        {{"--samples"}, kind::count, {"0"}},
         {{"--anomalies"}, kind::count},
-        {{"--features"}, kind::count, "0"},
+        {{"--features"}, kind::count, {"0"}},
         {{"--drift"}, kind::real},
-        {{"--drift-period"}, kind::real, "0"},
-        {{"--window"}, kind::count, "0"},
-        {{"--rebucket"}, kind::count, "1"},
+        {{"--drift-period"}, kind::real, {"0"}},
+        {{"--window"}, kind::count, {"0"}},
+        {{"--rebucket"}, kind::count, {"1"}},
     };
     const flag_rows serve = {
         help,
-        {{"--port"}, kind::count, "70000"},
+        {{"--port"}, kind::count, {"70000"}},
         {{"--host"}, kind::text},
-        {{"--registry-port"}, kind::count, "70000"},
+        {{"--registry-port"}, kind::count, {"70000"}},
         {{"--workers"}, kind::count},
-        {{"--connect-worker"}, kind::choice, "1.2.3:4"},
+        {{"--connect-worker"}, kind::choice, {"1.2.3:4"}},
         {{"--backend"}, kind::text},
         {{"--threads"}, kind::count},
         {{"--rejoin-attempts"}, kind::count},
@@ -219,8 +220,8 @@ std::vector<tool_flags> all_tools() {
     const flag_rows worker = {
         help,
         {{"--version"}, kind::toggle},
-        {{"--listen"}, kind::choice, "1.2.3:4"},
-        {{"--connect"}, kind::choice, "1.2.3:4"},
+        {{"--listen"}, kind::choice, {"1.2.3:4"}},
+        {{"--connect"}, kind::choice, {"1.2.3:4"}},
         {{"--retry"}, kind::count},
         {{"--retry-delay-ms"}, kind::count},
     };
@@ -317,9 +318,8 @@ TEST(ToolCli, EveryValueFlagRejectsMalformedValues) {
     for (const tool_flags& tool : all_tools()) {
         for (const flag_row& row : tool.rows) {
             std::vector<std::string> values = bad[row.type];
-            if (!row.near_miss.empty()) {
-                values.push_back(row.near_miss);
-            }
+            values.insert(values.end(), row.near_misses.begin(),
+                          row.near_misses.end());
             for (const std::string& value : values) {
                 const std::string& name = row.names.back();
                 expect_usage_error(tool.binary, {name, value},
@@ -378,6 +378,15 @@ TEST(ToolCli, DemoStreamShapeIsCheckedWhileParsing) {
     EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1)
         << run.err;
     EXPECT_EQ(run.out, "");
+}
+
+TEST(ToolCli, ServeBackendMustBeAPlainEngineName) {
+    // No --workers: were a name accepted, the tool would stop at the
+    // missing-worker check instead of starting a fleet.
+    for (const char* name : {"sharded", "remote", "fleet", "a:b", ""}) {
+        expect_usage_error(QUORUM_SERVE_BIN, {"--backend", name},
+                           "--backend must be a plain engine name");
+    }
 }
 
 TEST(ToolCli, ServeNoLongerTakesAQueueBound) {

@@ -64,13 +64,14 @@ void flag_table::integer(std::string names, std::string placeholder,
 }
 
 void flag_table::real(std::string names, std::string placeholder,
-                      std::string help, double& target, bool positive) {
+                      std::string help, double& target,
+                      core::open_range range) {
     std::ostringstream shown;
     shown << target;
     choice(std::move(names), std::move(placeholder), std::move(help),
-           [&target, positive](const std::string& v) {
+           [&target, range](const std::string& v) {
                double value = 0.0;
-               if (!util::parse_real(v, value) || (positive && value <= 0.0)) {
+               if (!util::parse_real(v, value) || !range.contains(value)) {
                    return false;
                }
                target = value;
@@ -83,6 +84,10 @@ void flag_table::choice(std::string names, std::string placeholder,
                         std::string help, setter set, std::string shown) {
     rows_.push_back({split_names(names), std::move(placeholder),
                      std::move(help), std::move(set), std::move(shown)});
+}
+
+void flag_table::check(std::function<std::string()> rule) {
+    checks_.push_back(std::move(rule));
 }
 
 std::optional<int> flag_table::parse(int argc, char** argv) const {
@@ -115,6 +120,11 @@ std::optional<int> flag_table::parse(int argc, char** argv) const {
         }
         if (!accepted) {
             return usage_error("bad value '" + value + "' for " + arg);
+        }
+    }
+    for (const auto& rule : checks_) {
+        if (const std::string message = rule(); !message.empty()) {
+            return usage_error(message);
         }
     }
     return std::nullopt;
@@ -168,19 +178,30 @@ int flag_table::usage_error(const std::string& message) const {
 }
 
 void add_scoring_flags(flag_table& flags, core::quorum_config& config) {
-    flags.count("--groups", "N", "ensemble groups", config.ensemble_groups);
+    flags.count("--groups", "N", "ensemble groups", config.ensemble_groups,
+                core::min_ensemble_groups);
     flags.count("--shots", "N",
                 "SWAP-test shots per circuit (ignored in exact mode)",
                 config.shots);
     flags.count("--qubits", "N",
                 "data-register qubits: a group encodes 2^N - 1 features "
                 "(amplitude) or N (angle)",
-                config.n_qubits);
+                config.n_qubits, core::min_qubits, core::max_qubits);
     flags.real("--rate", "R", "estimated anomaly rate, for bucket sizing",
-               config.estimated_anomaly_rate);
+               config.estimated_anomaly_rate, core::probability_range);
     flags.real("--bucket-prob", "P",
                "target probability that a bucket holds an anomaly",
-               config.bucket_probability);
+               config.bucket_probability, core::probability_range);
+    flags.check([&config]() -> std::string {
+        if (config.mode == core::exec_mode::exact ||
+            config.shots >= core::min_sampling_shots) {
+            return {};
+        }
+        return "bad value '" + std::to_string(config.shots) +
+               "' for --shots: " + core::exec_mode_name(config.mode) +
+               " mode needs at least " +
+               std::to_string(core::min_sampling_shots) + " shot";
+    });
     flags.choice("--mode", "M", "exact | sampled | per_shot | noisy",
                  [&config](const std::string& v) {
                      return core::parse_exec_mode(v, config.mode);

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -44,15 +45,18 @@ public:
                 bool value = true);
     void text(std::string names, std::string placeholder, std::string help,
               std::string& target);
-    /// A non-negative integer that must fit T (util::parse_count) and be
-    /// at least `minimum`.
+    /// A non-negative integer that must fit T (util::parse_count) and lie
+    /// in [minimum, maximum].
     template <typename T>
     void count(std::string names, std::string placeholder, std::string help,
-               T& target, std::type_identity_t<T> minimum = 0) {
+               T& target, std::type_identity_t<T> minimum = 0,
+               std::type_identity_t<T> maximum =
+                   std::numeric_limits<T>::max()) {
         choice(std::move(names), std::move(placeholder), std::move(help),
-               [&target, minimum](const std::string& v) {
+               [&target, minimum, maximum](const std::string& v) {
                    T value{};
-                   if (!util::parse_count(v, value) || value < minimum) {
+                   if (!util::parse_count(v, value) || value < minimum ||
+                       value > maximum) {
                        return false;
                    }
                    target = value;
@@ -62,9 +66,9 @@ public:
     }
     void integer(std::string names, std::string placeholder,
                  std::string help, int& target);
-    /// A finite real (util::parse_real), and above zero when `positive`.
+    /// A finite real (util::parse_real) inside `range`.
     void real(std::string names, std::string placeholder, std::string help,
-              double& target, bool positive = false);
+              double& target, core::open_range range = {});
     /// A value checked by an existing parser inside `set`; --help shows
     /// `shown` as the default unless it is empty. The other row kinds are
     /// choices with a fixed parser, and an empty `placeholder` makes a
@@ -72,9 +76,13 @@ public:
     void choice(std::string names, std::string placeholder, std::string help,
                 setter set, std::string shown = {});
 
-    /// Parses argv against the rows. Returns the exit code when the tool
-    /// must stop (0 after --help, 2 after a usage error), nullopt when it
-    /// should run.
+    /// A rule across rows that parse() applies once every flag parsed: a
+    /// non-empty result is a usage error message.
+    void check(std::function<std::string()> rule);
+
+    /// Parses argv against the rows, then applies the checks. Returns the
+    /// exit code when the tool must stop (0 after --help, 2 after a usage
+    /// error), nullopt when it should run.
     [[nodiscard]] std::optional<int> parse(int argc, char** argv) const;
 
     void print_usage(std::ostream& out) const;
@@ -96,11 +104,13 @@ private:
     std::string header_;
     std::string footer_;
     std::vector<row> rows_;
+    std::vector<std::function<std::string()>> checks_;
 };
 
 /// The nine rows every scoring tool maps onto quorum_config: --groups,
 /// --shots, --qubits, --rate, --bucket-prob, --mode, --encoding,
-/// --schedule and --seed.
+/// --schedule and --seed. Each range quorum_config::validate() enforces
+/// is checked while parsing; --shots against --mode once all flags parsed.
 void add_scoring_flags(flag_table& flags, core::quorum_config& config);
 
 /// --threads, which quorum_cli and quorum_serve share.

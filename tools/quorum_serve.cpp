@@ -375,9 +375,7 @@ int main(int argc, char** argv) {
         return *exit_code;
     }
     if (options.backend != "auto" &&
-        (options.backend.find(':') != std::string::npos ||
-         options.backend == "sharded" || options.backend == "remote" ||
-         options.backend == "fleet")) {
+        !exec::is_plain_engine_name(options.backend)) {
         return flags.usage_error("--backend must be a plain engine name (the "
                                  "fleet does the distribution)");
     }

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                 1);
     flags.real("--drift", "A", "demo drift amplitude", demo.drift_amplitude);
     flags.real("--drift-period", "P", "demo drift period in arrivals (> 0)",
-               demo.drift_period, true);
+               demo.drift_period, {.low = 0.0});
     flags.count("--window", "N", "sliding-window length (>= 1)",
                 config.window, 1);
     flags.count("--rebucket", "N", "arrivals per re-bucketing epoch (>= 2)",
