@@ -139,6 +139,32 @@ void bm_run_ensemble_group(benchmark::State& state) {
 }
 BENCHMARK(bm_run_ensemble_group)->Arg(60)->Arg(240);
 
+/// One Table-I group as batch scoring runs it (§IV-E): the breast_cancer
+/// table of make_benchmark_suite (367 x 30, bucket probability 0.75),
+/// sampled at 4096 shots, on one engine built outside the timed loop.
+/// The group's rows reach the engine in one run_batch_levels call; a
+/// call per bucket would re-plan the family and cut lane blocks short
+/// once per bucket, which bench_diff's threshold catches.
+void bm_run_ensemble_group_sampled(benchmark::State& state) {
+    const data::benchmark_dataset table = data::make_benchmark_suite(2025)[0];
+    const data::dataset d =
+        data::normalize_for_quorum(table.data.without_labels());
+    core::quorum_config config;
+    config.mode = core::exec_mode::sampled;
+    config.shots = 4096;
+    config.bucket_probability = table.bucket_probability;
+    const auto engine = exec::make_executor(config.resolved_backend(),
+                                            config.to_engine_config());
+    for (auto _ : state) {
+        const core::group_result result =
+            core::run_ensemble_group(d, config, 0, *engine);
+        benchmark::DoNotOptimize(result.abs_z_sum.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(d.num_samples()));
+}
+BENCHMARK(bm_run_ensemble_group_sampled);
+
 /// Full-circuit exact evaluation: per-sample rebuild + run_exact versus
 /// batched replay of the compiled 7-qubit program.
 void bm_full_circuit_legacy(benchmark::State& state) {

@@ -10,9 +10,9 @@
 //                            sharded backend, the baseline the remote
 //                            dispatch overhead is measured against;
 //   bm_remote_ensemble_group — a full core ensemble group through
-//                            remote workers (per-bucket batches: the
-//                            dispatch overhead at the detector's real
-//                            batch size).
+//                            remote workers (one batch of all rows per
+//                            group: the dispatch overhead at the
+//                            detector's real batch size).
 //
 // Scores are bit-identical across all arms and worker counts (enforced
 // by tests/exec/test_remote_backend.cpp and the golden fixtures); this
@@ -130,7 +130,7 @@ BENCHMARK(bm_sharded_run_batch)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// One full ensemble group through core: the remote dispatch overhead is
-/// paid once per bucket batch — the realistic detector hot path.
+/// paid once per group batch — the realistic detector hot path.
 void bm_remote_ensemble_group(benchmark::State& state) {
     const auto lanes = static_cast<std::size_t>(state.range(0));
     const data::dataset& d = flagship_normalized();

@@ -5,7 +5,8 @@
 //   bm_sharded_run_batch      — one whole-dataset batch per run_batch call
 //                               (the serving shape: score everything now);
 //   bm_sharded_ensemble_group — a full core ensemble group, where sharding
-//                               applies per bucket batch (the paper loop).
+//                               splits the group's one batch of all rows
+//                               (the paper loop).
 //
 // The acceptance bar for the sharded backend is >= 2x at 4 shards on the
 // whole-dataset batch. Scores are bit-identical at every shard count (the

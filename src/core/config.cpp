@@ -82,11 +82,11 @@ exec::engine_config quorum_config::to_engine_config() const {
         engine.shots = shots;
         break;
     case exec_mode::noisy:
-        // The density engine computes the exact noisy distribution; shots
-        // (when requested) are emulated with a Binomial draw, exactly as
-        // the paper samples its 4096 shots from the Aer distribution.
-        engine.sampling_mode =
-            shots == 0 ? exec::sampling::exact : exec::sampling::binomial;
+        // The density engine computes the exact noisy distribution; the
+        // shots (>= 1, as validate() requires) are a Binomial draw from
+        // it, exactly as the paper samples its 4096 shots from the Aer
+        // distribution.
+        engine.sampling_mode = exec::sampling::binomial;
         engine.shots = shots;
         engine.noise = noise;
         break;

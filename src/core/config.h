@@ -116,9 +116,9 @@ struct quorum_config {
     /// exact/sampled only: simulate the full 2n+1-qubit circuit instead of
     /// the register-A analytic shortcut (slower; used for validation).
     bool use_full_circuit = false;
-    /// Evaluate all compression levels of a group through one fused
-    /// run_batch_levels call (state prep + encoder evolved once per
-    /// sample) instead of one batch per level. Scores are identical
+    /// Evaluate all compression levels of a group's rows through one
+    /// fused run_batch_levels call (state prep + encoder evolved once per
+    /// sample) instead of one run_batch per level. Scores are identical
     /// either way — this is a performance escape hatch (--no-fused),
     /// kept for A/B validation.
     bool fused_levels = true;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "data/bucketing.h"
 #include "data/feature_select.h"
 #include "exec/executor.h"
 #include "exec/registry.h"
-#include "qml/amplitude_encoding.h"
 #include "qml/angle_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
@@ -44,6 +44,105 @@ make_level_program(const qml::ansatz_params& params, std::size_t level,
     }
     return program;
 }
+
+namespace {
+
+/// Evaluates every row of `normalized` through the group's program
+/// family, in row order, writing p_values[i * family.size() + k] = P(1)
+/// of row i at level k. Each call to the engine covers up to
+/// ensemble_chunk_rows rows: one run_batch_levels call, or one run_batch
+/// per level when config.fused_levels is off. No engine's per-sample
+/// result depends on the batch it arrives in, and row i at level k
+/// always draws from gen.child(k * n + i), so the chunking never shows
+/// in the values.
+void evaluate_rows(const data::dataset& normalized,
+                   std::span<const std::size_t> features,
+                   std::span<const exec::program> family,
+                   const quorum_config& config, const util::rng& gen,
+                   const exec::executor& engine, std::span<double> p_values) {
+    const std::size_t n_samples = normalized.num_samples();
+    const std::size_t level_count = family.size();
+    const std::size_t dim = std::size_t{1} << config.n_qubits;
+    const std::size_t chunk = std::min(n_samples, ensemble_chunk_rows);
+    const bool stochastic = config.mode != exec_mode::exact;
+
+    // Per-call scratch, sized for one chunk and reused across chunks:
+    // the encoded amplitudes (chunk x 2^n, one flat block), the batch,
+    // and the rng streams. Row k draws level j from gens[k * L + j] on
+    // the fused path and from gens[k], refilled per level, on the
+    // per-level path.
+    const std::size_t streams_per_row = config.fused_levels ? level_count : 1;
+    std::vector<double> selected(features.size());
+    std::vector<double> amplitudes(chunk * dim);
+    std::vector<exec::sample> batch(chunk);
+    std::vector<util::rng> gens(stochastic ? chunk * streams_per_row : 0,
+                                gen);
+    std::vector<util::rng*> gen_ptrs(gens.size());
+    for (std::size_t s = 0; s < gens.size(); ++s) {
+        gen_ptrs[s] = &gens[s];
+    }
+    for (std::size_t k = 0; k < chunk; ++k) {
+        batch[k].amplitudes =
+            std::span<const double>(amplitudes.data() + k * dim, dim);
+        if (stochastic && config.fused_levels) {
+            batch[k].level_gens = std::span<util::rng* const>(
+                gen_ptrs.data() + k * level_count, level_count);
+        } else if (stochastic) {
+            batch[k].gen = &gens[k];
+        }
+    }
+    std::vector<double> level_out(config.fused_levels ? 0 : chunk);
+
+    for (std::size_t first = 0; first < n_samples; first += chunk) {
+        const std::size_t count = std::min(chunk, n_samples - first);
+        const std::span<const exec::sample> rows(batch.data(), count);
+        // Encode each sample once; amplitudes are level-independent.
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::span<const double> row = normalized.row(first + k);
+            for (std::size_t j = 0; j < features.size(); ++j) {
+                selected[j] = row[features[j]];
+            }
+            qml::encode_features(
+                config.encoding, selected, config.n_qubits,
+                std::span(amplitudes).subspan(k * dim, dim));
+        }
+        if (config.fused_levels) {
+            // Every sample's state is prepared and pushed through E(θ)
+            // once for ALL levels.
+            if (stochastic) {
+                for (std::size_t k = 0; k < count; ++k) {
+                    for (std::size_t level_index = 0;
+                         level_index < level_count; ++level_index) {
+                        gens[k * level_count + level_index] =
+                            gen.child(level_index * n_samples + first + k);
+                    }
+                }
+            }
+            engine.run_batch_levels(
+                family, rows,
+                p_values.subspan(first * level_count, count * level_count));
+            continue;
+        }
+        // Per-level escape hatch (--no-fused): the fused path's reference
+        // semantics, one run_batch per level.
+        for (std::size_t level_index = 0; level_index < level_count;
+             ++level_index) {
+            if (stochastic) {
+                for (std::size_t k = 0; k < count; ++k) {
+                    gens[k] = gen.child(level_index * n_samples + first + k);
+                }
+            }
+            engine.run_batch(family[level_index], rows,
+                             std::span(level_out).first(count));
+            for (std::size_t k = 0; k < count; ++k) {
+                p_values[(first + k) * level_count + level_index] =
+                    level_out[k];
+            }
+        }
+    }
+}
+
+} // namespace
 
 group_result run_ensemble_group(const data::dataset& normalized,
                                 const quorum_config& config,
@@ -110,17 +209,6 @@ group_result run_ensemble_group(const data::dataset& normalized,
     const qml::ansatz_params params =
         qml::random_ansatz_params(config.n_qubits, config.ansatz_layers, gen);
 
-    // Encode each sample once; amplitudes are level-independent.
-    std::vector<std::vector<double>> amplitudes(n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) {
-        const std::vector<double> selected =
-            data::gather_features(normalized.row(i), features);
-        amplitudes[i] = qml::to_encoded_amplitudes(config.encoding, selected,
-                                                   config.n_qubits);
-    }
-
-    const bool stochastic = config.mode != exec_mode::exact;
-
     const std::vector<std::size_t> levels =
         config.effective_compression_levels();
     const std::size_t level_count = levels.size();
@@ -133,95 +221,22 @@ group_result run_ensemble_group(const data::dataset& normalized,
         family.push_back(make_level_program(params, level, config, engine));
     }
 
-    // p_values[level_index * n_samples + i] = P(1) of sample i at that
-    // level (level-major for the per-level statistics pass below).
-    std::vector<double> p_values(level_count * n_samples, 0.0);
-    std::vector<exec::sample> batch;
-    std::vector<double> batch_out;
-    std::vector<util::rng> batch_gens;
-    std::vector<util::rng*> batch_gen_ptrs;
-
-    if (config.fused_levels) {
-        // One fused multi-readout batch per bucket: every sample's state
-        // is prepared and pushed through E(θ) once for ALL levels.
-        for (const std::vector<std::size_t>& bucket : buckets) {
-            batch.clear();
-            batch_gens.clear();
-            batch_gen_ptrs.clear();
-            batch.reserve(bucket.size());
-            batch_gens.reserve(bucket.size() * level_count);
-            batch_gen_ptrs.reserve(bucket.size() * level_count);
-            batch_out.resize(bucket.size() * level_count);
-            for (const std::size_t i : bucket) {
-                exec::sample s;
-                s.amplitudes = amplitudes[i];
-                if (stochastic) {
-                    // The same per-(level, sample) child streams the
-                    // per-level path derives, so scores agree exactly.
-                    for (std::size_t level_index = 0;
-                         level_index < level_count; ++level_index) {
-                        batch_gens.push_back(
-                            gen.child(level_index * n_samples + i));
-                        batch_gen_ptrs.push_back(&batch_gens.back());
-                    }
-                    s.level_gens = std::span<util::rng* const>(
-                        batch_gen_ptrs.data() + batch_gen_ptrs.size() -
-                            level_count,
-                        level_count);
-                }
-                batch.push_back(s);
-            }
-            engine.run_batch_levels(family, batch, batch_out);
-            for (std::size_t k = 0; k < bucket.size(); ++k) {
-                for (std::size_t level_index = 0; level_index < level_count;
-                     ++level_index) {
-                    p_values[level_index * n_samples + bucket[k]] =
-                        batch_out[k * level_count + level_index];
-                }
-            }
-        }
-    } else {
-        // Per-level escape hatch (--no-fused): one batch per
-        // (level, bucket), exactly the fused path's reference semantics.
-        for (std::size_t level_index = 0; level_index < level_count;
-             ++level_index) {
-            for (const std::vector<std::size_t>& bucket : buckets) {
-                batch.clear();
-                batch_gens.clear();
-                batch.reserve(bucket.size());
-                batch_gens.reserve(bucket.size());
-                batch_out.resize(bucket.size());
-                for (const std::size_t i : bucket) {
-                    exec::sample s;
-                    s.amplitudes = amplitudes[i];
-                    if (stochastic) {
-                        // Per-sample child streams keep stochastic modes
-                        // deterministic for any thread count or batch
-                        // order.
-                        batch_gens.push_back(
-                            gen.child(level_index * n_samples + i));
-                        s.gen = &batch_gens.back();
-                    }
-                    batch.push_back(s);
-                }
-                engine.run_batch(family[level_index], batch, batch_out);
-                for (std::size_t k = 0; k < bucket.size(); ++k) {
-                    p_values[level_index * n_samples + bucket[k]] =
-                        batch_out[k];
-                }
-            }
-        }
-    }
+    // p_values[i * level_count + k] = P(1) of sample i at level k
+    // (sample-major, the layout run_batch_levels writes).
+    std::vector<double> p_values(n_samples * level_count, 0.0);
+    evaluate_rows(normalized, features, family, config, gen, engine,
+                  p_values);
 
     // Per-bucket statistics -> |z| accumulation (Fig. 7), in level-major
     // order (identical accumulation order for both evaluation paths).
     for (std::size_t level_index = 0; level_index < level_count;
          ++level_index) {
-        const double* level_p = p_values.data() + level_index * n_samples;
+        // Sample i's value at this level is level_p[i * level_count].
+        const double* level_p = p_values.data() + level_index;
         for (const std::vector<std::size_t>& bucket : buckets) {
             util::welford_accumulator acc;
             for (const std::size_t i : bucket) {
-                acc.add(level_p[i]);
+                acc.add(level_p[i * level_count]);
             }
             const double mu = acc.mean();
             const double sigma = acc.stddev_population();
@@ -233,7 +248,8 @@ group_result run_ensemble_group(const data::dataset& normalized,
                 continue;
             }
             for (const std::size_t i : bucket) {
-                result.abs_z_sum[i] += std::abs((level_p[i] - mu) / sigma);
+                result.abs_z_sum[i] +=
+                    std::abs((level_p[i * level_count] - mu) / sigma);
                 ++result.run_count[i];
             }
         }

@@ -6,6 +6,7 @@
 #ifndef QUORUM_CORE_ENSEMBLE_H
 #define QUORUM_CORE_ENSEMBLE_H
 
+#include <cstddef>
 #include <vector>
 
 #include "core/config.h"
@@ -22,9 +23,14 @@ namespace quorum::core {
 /// same degenerate runs.
 inline constexpr double sigma_floor = 1e-9;
 
+/// Rows per executor call: run_ensemble_group evaluates a group's rows in
+/// order, this many at a time, so every Table-I group is one call while
+/// the per-call scratch stays bounded on very large tables.
+inline constexpr std::size_t ensemble_chunk_rows = 4096;
+
 /// One compiled SWAP-test program per (group, level): the ansatz + SWAP
 /// suffix is shared by every sample, so build/validate/fuse it once and
-/// replay it per bucket through the executor. The register-A overlap
+/// replay it across the group's rows through the executor. The register-A overlap
 /// shortcut is used only when both the config and the backend allow it;
 /// otherwise the full 2n+1-qubit SWAP-test circuit is compiled.
 [[nodiscard]] exec::program
@@ -45,11 +51,12 @@ struct group_result {
 
 /// Runs ensemble group `group_index` over a dataset that has ALREADY been
 /// normalised with data::normalize_for_quorum (values in [0, 1/M]),
-/// evaluating every bucket batch through `engine`: one compiled program
-/// per compression level (the group's program family), submitted as one
-/// fused run_batch_levels call per bucket — or one run_batch per
-/// (level, bucket) when config.fused_levels is off; scores are identical
-/// either way. Backends are thread-safe, so the detector builds one
+/// evaluating its rows through `engine`: one compiled program per
+/// compression level (the group's program family), submitted as one
+/// fused run_batch_levels call per ensemble_chunk_rows rows — or one
+/// run_batch per level and chunk when config.fused_levels is off; scores
+/// are identical either way. Buckets only group the resulting p-values
+/// for the per-(bucket, level) z-scores. Backends are thread-safe, so the detector builds one
 /// engine per score() call and shares it across all group workers —
 /// which also means a sharded engine creates its shard pool once, not
 /// once per group. Deterministic: depends only on

@@ -1,8 +1,10 @@
 #include "data/csv.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "data/preprocess.h"
@@ -12,86 +14,137 @@ namespace quorum::data {
 
 namespace {
 
-std::vector<std::string> split_line(const std::string& line, char delimiter) {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream stream(line);
-    while (std::getline(stream, cell, delimiter)) {
-        // Trim surrounding whitespace.
-        const auto first = cell.find_first_not_of(" \t\r");
-        const auto last = cell.find_last_not_of(" \t\r");
-        if (first == std::string::npos) {
-            cells.emplace_back();
-        } else {
-            cells.push_back(cell.substr(first, last - first + 1));
-        }
+/// The cell without surrounding spaces, tabs and carriage returns.
+std::string_view trim(std::string_view cell) {
+    const auto first = cell.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos) {
+        return {};
     }
-    if (!line.empty() && line.back() == delimiter) {
-        cells.emplace_back();
-    }
-    return cells;
+    const auto last = cell.find_last_not_of(" \t\r");
+    return cell.substr(first, last - first + 1);
 }
 
-double parse_cell(const std::string& cell) {
-    if (cell.empty()) {
-        return 0.0;
-    }
-    try {
-        std::size_t consumed = 0;
-        const double value = std::stod(cell, &consumed);
-        if (consumed == cell.size()) {
-            return value;
+/// Calls fn(column, cell) for each delimiter-separated field of `line`,
+/// trimmed, and returns the number of fields.
+template <typename Fn>
+std::size_t for_each_cell(std::string_view line, char delimiter, Fn&& fn) {
+    std::size_t column = 0;
+    for (std::size_t begin = 0; begin <= line.size(); ++column) {
+        std::size_t end = line.find(delimiter, begin);
+        if (end == std::string_view::npos) {
+            end = line.size();
         }
-    } catch (const std::exception&) {
-        // fall through to hashing
+        fn(column, trim(line.substr(begin, end - begin)));
+        begin = end + 1;
     }
-    return hash_category(cell);
+    return column;
+}
+
+/// Reads a trimmed cell into `value`: an empty cell is 0, a cell that is
+/// entirely a number is strtod's value (a subnormal or a signed zero on
+/// underflow), any other text hashes to [0, 1) as a category. Returns
+/// false for a number that is not finite ("inf", "nan", or one that
+/// overflows). `scratch` holds the terminated copy strtod needs, so a
+/// warm reader allocates nothing per cell.
+bool parse_cell(std::string_view cell, std::string& scratch, double& value) {
+    if (cell.empty()) {
+        value = 0.0;
+        return true;
+    }
+    scratch.assign(cell);
+    char* end = nullptr;
+    const double parsed = std::strtod(scratch.c_str(), &end);
+    if (end != scratch.c_str() + scratch.size()) {
+        value = hash_category(cell);
+        return true;
+    }
+    value = parsed;
+    return std::isfinite(parsed);
+}
+
+/// "column 3 ('temp')": 1-based, with the header name when there is one.
+std::string column_label(std::size_t column,
+                         const std::vector<std::string>& header) {
+    std::string label = "column " + std::to_string(column + 1);
+    if (column < header.size() && !header[column].empty()) {
+        label += " ('" + header[column] + "')";
+    }
+    return label;
 }
 
 } // namespace
 
 dataset read_csv(std::istream& in, const csv_options& options) {
-    std::vector<std::vector<double>> rows;
+    std::vector<double> values; // row-major, label column excluded
     std::vector<int> labels;
-    std::vector<std::string> feature_names;
+    std::vector<std::string> header;
     std::string line;
+    std::string scratch;
     bool header_pending = options.has_header;
+    std::size_t line_number = 0;
     std::size_t width = 0;
+    std::size_t rows = 0;
+
+    const auto read_cell = [&](std::size_t column, std::string_view cell) {
+        double value = 0.0;
+        if (!parse_cell(cell, scratch, value)) {
+            throw util::contract_error(
+                "CSV line " + std::to_string(line_number) + ", " +
+                column_label(column, header) + ": '" + std::string(cell) +
+                "' is not a finite number");
+        }
+        if (static_cast<int>(column) == options.label_column) {
+            labels.push_back(value >= 0.5 ? 1 : 0);
+        } else {
+            values.push_back(value);
+        }
+    };
 
     while (std::getline(in, line)) {
+        ++line_number;
         if (line.empty()) {
             continue;
         }
-        const std::vector<std::string> cells =
-            split_line(line, options.delimiter);
         if (header_pending) {
             header_pending = false;
-            for (std::size_t j = 0; j < cells.size(); ++j) {
-                if (static_cast<int>(j) != options.label_column) {
-                    feature_names.push_back(cells[j]);
-                }
-            }
+            for_each_cell(line, options.delimiter,
+                          [&](std::size_t, std::string_view cell) {
+                              header.emplace_back(cell);
+                          });
             continue;
         }
+        const std::size_t cell_count =
+            for_each_cell(line, options.delimiter, read_cell);
         if (width == 0) {
-            width = cells.size();
+            width = cell_count;
         }
-        QUORUM_EXPECTS_MSG(cells.size() == width, "ragged CSV row");
-        std::vector<double> row;
-        row.reserve(width);
-        for (std::size_t j = 0; j < cells.size(); ++j) {
-            if (static_cast<int>(j) == options.label_column) {
-                const double raw = parse_cell(cells[j]);
-                labels.push_back(raw >= 0.5 ? 1 : 0);
-            } else {
-                row.push_back(parse_cell(cells[j]));
-            }
+        if (cell_count != width) {
+            throw util::contract_error(
+                "ragged CSV row: line " + std::to_string(line_number) +
+                " has " + std::to_string(cell_count) +
+                " cells where the first data row has " +
+                std::to_string(width));
         }
-        rows.push_back(std::move(row));
+        ++rows;
     }
-    QUORUM_EXPECTS_MSG(!rows.empty(), "CSV contained no data rows");
+    QUORUM_EXPECTS_MSG(rows != 0, "CSV contained no data rows");
 
-    dataset d = dataset::from_rows(rows, std::move(labels));
+    const std::size_t features = values.size() / rows;
+    dataset d(rows, features);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < features; ++j) {
+            d.at(i, j) = values[i * features + j];
+        }
+    }
+    if (!labels.empty()) {
+        d.set_labels(std::move(labels));
+    }
+    std::vector<std::string> feature_names;
+    for (std::size_t j = 0; j < header.size(); ++j) {
+        if (static_cast<int>(j) != options.label_column) {
+            feature_names.push_back(std::move(header[j]));
+        }
+    }
     if (!feature_names.empty() && feature_names.size() == d.num_features()) {
         d.set_feature_names(std::move(feature_names));
     }
@@ -103,9 +156,13 @@ dataset read_csv_file(const std::string& path, const csv_options& options) {
     if (!file) {
         throw std::runtime_error("cannot open CSV file: " + path);
     }
-    dataset d = read_csv(file, options);
-    d.set_name(path);
-    return d;
+    try {
+        dataset d = read_csv(file, options);
+        d.set_name(path);
+        return d;
+    } catch (const util::contract_error& error) {
+        throw util::contract_error(path + ": " + error.what());
+    }
 }
 
 void write_csv(std::ostream& out, const dataset& d, char delimiter) {

@@ -20,11 +20,16 @@ struct csv_options {
     char delimiter = ',';
 };
 
-/// Reads a dataset from a stream. Non-numeric cells are hashed to [0, 1).
+/// Reads a dataset from a stream. Empty cells read 0, numeric cells read
+/// as strtod does (an underflow keeps its subnormal or zero), and any
+/// other text is hashed to [0, 1). Throws util::contract_error naming
+/// the 1-based line and column (with its header name) for a numeric cell
+/// that is not finite ("inf", "nan", "1e999"), and naming the line and
+/// both widths for a row whose width differs from the first data row's.
 [[nodiscard]] dataset read_csv(std::istream& in, const csv_options& options);
 
 /// Reads a dataset from a file path. Throws std::runtime_error if the file
-/// cannot be opened.
+/// cannot be opened, and read_csv's errors prefixed with the path.
 [[nodiscard]] dataset read_csv_file(const std::string& path,
                                     const csv_options& options);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "util/contracts.h"
 
@@ -17,8 +18,16 @@ normalization_summary summarize_ranges(const dataset& input) {
     for (std::size_t i = 0; i < input.num_samples(); ++i) {
         for (std::size_t j = 0; j < input.num_features(); ++j) {
             const double v = input.at(i, j);
-            QUORUM_EXPECTS_MSG(std::isfinite(v),
-                               "dataset contains NaN or infinite values");
+            if (!std::isfinite(v)) {
+                std::string where = "dataset row " + std::to_string(i) +
+                                    ", column " + std::to_string(j);
+                if (j < input.feature_names().size()) {
+                    where += " ('" + input.feature_names()[j] + "')";
+                }
+                throw util::contract_error(where + " is " +
+                                           std::to_string(v) +
+                                           ", not a finite number");
+            }
             summary.feature_min[j] = std::min(summary.feature_min[j], v);
             summary.feature_max[j] = std::max(summary.feature_max[j], v);
         }

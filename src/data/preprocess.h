@@ -34,7 +34,9 @@ struct normalization_summary {
 /// RY(pi·x) rotation, so the 1/M amplitude budget does not apply).
 [[nodiscard]] dataset normalize_unit_range(const dataset& input);
 
-/// Observed min/max per feature (for reports and tests).
+/// Observed min/max per feature (for reports and tests). Throws
+/// util::contract_error naming the 0-based row and column (with the
+/// feature name when there is one) of a NaN or infinite value.
 [[nodiscard]] normalization_summary summarize_ranges(const dataset& input);
 
 /// Deterministic hash of a non-numeric feature into [0, 1) (FNV-1a based),

@@ -62,7 +62,7 @@ enum class schedule_policy {
 };
 
 /// Grain a bare "dynamic" spec defaults to: small enough that a typical
-/// skewed bucket batch splits into several spans per lane, large enough
+/// skewed group batch splits into several spans per lane, large enough
 /// that per-span dispatch overhead stays in the noise.
 inline constexpr std::size_t default_dynamic_grain = 8;
 

@@ -1,5 +1,6 @@
 #include "exec/serve_client.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,9 +20,8 @@ bool serve_parse_double(const std::string& text, double& value) {
         return false;
     }
     char* end = nullptr;
-    errno = 0;
     const double parsed = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) {
+    if (end != text.c_str() + text.size() || !std::isfinite(parsed)) {
         return false;
     }
     value = parsed;

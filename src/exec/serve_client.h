@@ -32,8 +32,10 @@ inline constexpr std::string_view serve_protocol_tag = "QSRV1";
 /// pattern (%.17g — shared with the golden-fixture format).
 [[nodiscard]] std::string serve_format_double(double value);
 
-/// Strict double parse (whole token, no trailing garbage). Returns false
-/// instead of throwing — both protocol ends parse untrusted text.
+/// Strict finite double parse (whole token, no trailing garbage; "nan",
+/// "inf" and overflowing numbers such as "1e999" are rejected). Returns
+/// false instead of throwing — both protocol ends parse untrusted text.
+/// Scores are finite by construction, so only a broken peer trips this.
 [[nodiscard]] bool serve_parse_double(const std::string& text,
                                       double& value);
 

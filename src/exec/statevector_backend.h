@@ -13,7 +13,7 @@
 // state prep + encoder + nested reset prefix evolves ONCE per sample as a
 // trunk branch mixture, and each level forks (or reads the trunk
 // directly) at its first divergent op — ==-equal to per-level run_batch.
-// On the AVX2 kernels, Quorum's register-A families replay a bucket's
+// On the AVX2 kernels, Quorum's register-A families replay a batch's
 // samples lane_width at a time: every op is one lane-kernel call per
 // block, each lane bit-identical to the per-sample replay. A group
 // session replays several such families of one shape (the stream's

@@ -74,6 +74,10 @@ TEST(Config, RejectsZeroGroupsAndShots) {
     config.mode = exec_mode::sampled;
     config.shots = 0;
     EXPECT_THROW(config.validate(), quorum::util::contract_error);
+    // Noisy mode draws its shots from the exact noisy distribution, so
+    // it needs them too.
+    config.mode = exec_mode::noisy;
+    EXPECT_THROW(config.validate(), quorum::util::contract_error);
     // exact mode doesn't need shots.
     config.mode = exec_mode::exact;
     EXPECT_NO_THROW(config.validate());

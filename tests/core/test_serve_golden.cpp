@@ -494,6 +494,18 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrorReplies) {
         first_reply_line("QSRV1 SCORE 1 2\n1.0,nonsense\n")
             .rfind("QSRV1 ERR ", 0),
         0u);
+    // Non-finite cells parse whole but are not features: the reply names
+    // the row and the column instead of passing them to the detector.
+    for (const char* cell : {"nan", "inf", "-inf", "1e999"}) {
+        EXPECT_EQ(first_reply_line(std::string("QSRV1 SCORE 2 3\n1,2,3\n4,") +
+                                   cell + ",6\n"),
+                  "QSRV1 ERR malformed feature row 1: column 1 is not a "
+                  "finite number")
+            << cell;
+    }
+    EXPECT_EQ(first_reply_line("QSRV1 SCORE 1 3\n1.0,2.0\n"),
+              "QSRV1 ERR malformed feature row 0: 2 values where the "
+              "header has 3");
 
     // The daemon survives all of that abuse: a well-formed request on a
     // fresh connection still scores.

@@ -1,4 +1,10 @@
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -63,9 +69,104 @@ TEST(Csv, EmptyCellsBecomeZero) {
 }
 
 TEST(Csv, RaggedRowsRejected) {
-    std::istringstream in("a,b\n1,2\n3\n");
+    // The message names the 1-based file line (blank lines count) and
+    // both widths.
+    std::istringstream in("a,b\n1,2\n\n3\n");
     csv_options options;
-    EXPECT_THROW(read_csv(in, options), quorum::util::contract_error);
+    try {
+        (void)read_csv(in, options);
+        FAIL() << "ragged row accepted";
+    } catch (const quorum::util::contract_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("line 4 has 1 cells"), std::string::npos) << what;
+        EXPECT_NE(what.find("first data row has 2"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(Csv, UnderflowingNumbersKeepTheirValue) {
+    // strtod reports ERANGE for these; they are still numbers, not
+    // categories: a subnormal stays a subnormal and a deeper underflow
+    // reads as a signed zero.
+    std::istringstream in("a,b,c\n1e-310,1e-400,-1e-400\n");
+    csv_options options;
+    const dataset d = read_csv(in, options);
+    EXPECT_EQ(d.at(0, 0), std::strtod("1e-310", nullptr));
+    EXPECT_GT(d.at(0, 0), 0.0);
+    EXPECT_LT(d.at(0, 0), std::numeric_limits<double>::min());
+    EXPECT_EQ(d.at(0, 1), 0.0);
+    EXPECT_FALSE(std::signbit(d.at(0, 1)));
+    EXPECT_EQ(d.at(0, 2), 0.0);
+    EXPECT_TRUE(std::signbit(d.at(0, 2)));
+}
+
+TEST(Csv, NonFiniteNumbersNameTheLineAndColumn) {
+    struct bad_cell {
+        const char* text;
+        const char* cell;
+    };
+    for (const bad_cell bad : {bad_cell{"a,temp\n1,2\n3,1e999\n", "1e999"},
+                               bad_cell{"a,temp\n1,2\n3,-1e999\n", "-1e999"},
+                               bad_cell{"a,temp\n1,2\n3,inf\n", "inf"},
+                               bad_cell{"a,temp\n1,2\n3,nan\n", "nan"},
+                               bad_cell{"a,temp\n1,2\n3, NaN \n", "NaN"}}) {
+        std::istringstream in(bad.text);
+        csv_options options;
+        try {
+            (void)read_csv(in, options);
+            FAIL() << "accepted " << bad.cell;
+        } catch (const quorum::util::contract_error& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("CSV line 3, column 2 ('temp')"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::string("'") + bad.cell + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // Without a header the column is named by its 1-based number; the
+    // label column is checked like any other.
+    std::istringstream in("1,2,0\n3,4,inf\n");
+    csv_options options;
+    options.has_header = false;
+    options.label_column = 2;
+    try {
+        (void)read_csv(in, options);
+        FAIL() << "accepted an infinite label";
+    } catch (const quorum::util::contract_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("CSV line 2, column 3:"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(Csv, TextThatIsNotWhollyANumberStillHashes) {
+    std::istringstream in("a,b,c\n1e999x,infinityish,nan-ish\n");
+    csv_options options;
+    const dataset d = read_csv(in, options);
+    EXPECT_EQ(d.at(0, 0), hash_category("1e999x"));
+    EXPECT_EQ(d.at(0, 1), hash_category("infinityish"));
+    EXPECT_EQ(d.at(0, 2), hash_category("nan-ish"));
+}
+
+TEST(Csv, FileErrorsNameThePath) {
+    const std::string path =
+        ::testing::TempDir() + "quorum_csv_non_finite.csv";
+    {
+        std::ofstream out(path);
+        out << "a,b\n1,2\n3,inf\n";
+    }
+    csv_options options;
+    try {
+        (void)read_csv_file(path, options);
+        FAIL() << "accepted inf";
+    } catch (const quorum::util::contract_error& error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind(path + ": CSV line 3, column 2 ('b')", 0), 0u)
+            << what;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Csv, EmptyFileRejected) {

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -75,11 +76,26 @@ TEST(Preprocess, LabelsSurviveNormalisationUntouched) {
 }
 
 TEST(Preprocess, NanRejected) {
-    dataset d(2, 1);
-    d.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(normalize_for_quorum(d), quorum::util::contract_error);
-    d.at(0, 0) = std::numeric_limits<double>::infinity();
+    // The error names the 0-based row and column, and the feature name
+    // when there is one.
+    const auto message = [](const dataset& d) {
+        try {
+            (void)normalize_for_quorum(d);
+        } catch (const quorum::util::contract_error& error) {
+            return std::string(error.what());
+        }
+        return std::string("accepted");
+    };
+    dataset d(3, 2);
+    d.at(2, 1) = std::numeric_limits<double>::infinity();
     EXPECT_THROW(summarize_ranges(d), quorum::util::contract_error);
+    EXPECT_NE(message(d).find("row 2, column 1 is inf"), std::string::npos)
+        << message(d);
+    d.at(2, 1) = 0.0;
+    d.at(1, 0) = std::numeric_limits<double>::quiet_NaN();
+    d.set_feature_names({"volts", "amps"});
+    EXPECT_NE(message(d).find("row 1, column 0 ('volts')"), std::string::npos)
+        << message(d);
 }
 
 TEST(Preprocess, SummarizeRangesCorrect) {

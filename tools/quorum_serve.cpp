@@ -87,9 +87,11 @@ void spawn_registry_worker(const std::string& binary,
     // exit on the fleet's shutdown message or after their retry budget.
 }
 
-/// Splits a CSV feature line with strict numeric parsing.
-bool parse_feature_row(const std::string& line, std::size_t cols,
-                       std::vector<double>& row) {
+/// Splits a CSV feature line with strict finite-number parsing. Returns
+/// an empty string on success, otherwise what is wrong with the line,
+/// naming the 0-based column of a bad cell.
+std::string parse_feature_row(const std::string& line, std::size_t cols,
+                              std::vector<double>& row) {
     row.clear();
     std::size_t begin = 0;
     while (begin <= line.size()) {
@@ -100,12 +102,17 @@ bool parse_feature_row(const std::string& line, std::size_t cols,
         double value = 0.0;
         if (!exec::serve_parse_double(line.substr(begin, end - begin),
                                       value)) {
-            return false;
+            return "column " + std::to_string(row.size()) +
+                   " is not a finite number";
         }
         row.push_back(value);
         begin = end + 1;
     }
-    return row.size() == cols;
+    if (row.size() != cols) {
+        return std::to_string(row.size()) + " values where the header has " +
+               std::to_string(cols);
+    }
+    return {};
 }
 
 struct serve_state {
@@ -151,10 +158,13 @@ void handle_client(util::unique_fd fd, serve_state& state) {
             if (!fatal) {
                 features.resize(rows);
                 for (std::size_t i = 0; i < rows && !fatal; ++i) {
-                    if (!reader.read_line(line) ||
-                        !parse_feature_row(line, cols, features[i])) {
+                    const std::string problem =
+                        reader.read_line(line)
+                            ? parse_feature_row(line, cols, features[i])
+                            : "missing";
+                    if (!problem.empty()) {
                         reply = tag + " ERR malformed feature row " +
-                                std::to_string(i) + "\n";
+                                std::to_string(i) + ": " + problem + "\n";
                         fatal = true;
                     }
                 }
