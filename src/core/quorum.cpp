@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "data/preprocess.h"
 #include "exec/executor.h"
@@ -24,8 +25,11 @@ void quorum_detector::set_progress_callback(
 }
 
 score_report quorum_detector::score(const data::dataset& input) const {
-    QUORUM_EXPECTS_MSG(input.num_samples() >= 2,
-                       "need at least two samples to compare");
+    if (input.num_samples() < 2) {
+        throw util::contract_error(
+            "need at least two samples to compare (got " +
+            std::to_string(input.num_samples()) + ")");
+    }
     // Unsupervised: any labels are dropped before processing (§V).
     // Amplitude encoding needs the 1/M cap so squared features fit the
     // unit probability mass (§IV-A); angle encoding maps each feature to

@@ -81,6 +81,7 @@ dataset read_csv(std::istream& in, const csv_options& options) {
     std::string line;
     std::string scratch;
     bool header_pending = options.has_header;
+    std::size_t header_line = 0;
     std::size_t line_number = 0;
     std::size_t width = 0;
     std::size_t rows = 0;
@@ -107,6 +108,7 @@ dataset read_csv(std::istream& in, const csv_options& options) {
         }
         if (header_pending) {
             header_pending = false;
+            header_line = line_number;
             for_each_cell(line, options.delimiter,
                           [&](std::size_t, std::string_view cell) {
                               header.emplace_back(cell);
@@ -117,6 +119,23 @@ dataset read_csv(std::istream& in, const csv_options& options) {
             for_each_cell(line, options.delimiter, read_cell);
         if (width == 0) {
             width = cell_count;
+            if (header_line != 0 && header.size() != width) {
+                throw util::contract_error(
+                    "CSV header on line " + std::to_string(header_line) +
+                    " has " + std::to_string(header.size()) +
+                    " columns where the first data row, line " +
+                    std::to_string(line_number) + ", has " +
+                    std::to_string(width));
+            }
+            if (options.label_column < -1 ||
+                options.label_column >= static_cast<int>(width)) {
+                throw util::contract_error(
+                    "CSV line " + std::to_string(line_number) +
+                    ": label column " +
+                    std::to_string(options.label_column) +
+                    " is outside the row's " + std::to_string(width) +
+                    " columns (a 0-based index, or -1 for none)");
+            }
         }
         if (cell_count != width) {
             throw util::contract_error(
@@ -145,7 +164,7 @@ dataset read_csv(std::istream& in, const csv_options& options) {
             feature_names.push_back(std::move(header[j]));
         }
     }
-    if (!feature_names.empty() && feature_names.size() == d.num_features()) {
+    if (!feature_names.empty()) {
         d.set_feature_names(std::move(feature_names));
     }
     return d;

@@ -24,8 +24,10 @@ struct csv_options {
 /// as strtod does (an underflow keeps its subnormal or zero), and any
 /// other text is hashed to [0, 1). Throws util::contract_error naming
 /// the 1-based line and column (with its header name) for a numeric cell
-/// that is not finite ("inf", "nan", "1e999"), and naming the line and
-/// both widths for a row whose width differs from the first data row's.
+/// that is not finite ("inf", "nan", "1e999"); naming the line and both
+/// widths for a row, or a header, whose width differs from the first
+/// data row's; and naming the line, the column and the width for a
+/// label column that is neither -1 nor inside the first data row.
 [[nodiscard]] dataset read_csv(std::istream& in, const csv_options& options);
 
 /// Reads a dataset from a file path. Throws std::runtime_error if the file

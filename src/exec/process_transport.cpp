@@ -8,53 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "exec/serialise.h"
-#include "util/contracts.h"
-
 namespace quorum::exec {
-
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw transport_error(what + ": " + std::strerror(errno));
-}
-
-/// Sends the whole buffer; MSG_NOSIGNAL turns a dead peer into EPIPE
-/// instead of SIGPIPE (a library must never kill its host process).
-void send_all(int fd, const std::uint8_t* data, std::size_t size) {
-    std::size_t sent = 0;
-    while (sent < size) {
-        const ssize_t n =
-            ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw_errno("worker transport send failed");
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-}
-
-/// Reads exactly `size` bytes; EOF mid-message means the worker died.
-void recv_all(int fd, std::uint8_t* data, std::size_t size) {
-    std::size_t received = 0;
-    while (received < size) {
-        const ssize_t n = ::read(fd, data + received, size - received);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw_errno("worker transport read failed");
-        }
-        if (n == 0) {
-            throw transport_error("worker closed the connection");
-        }
-        received += static_cast<std::size_t>(n);
-    }
-}
-
-} // namespace
 
 process_transport::process_transport(const std::string& binary) {
     int sv[2] = {-1, -1};
@@ -64,13 +18,16 @@ process_transport::process_transport(const std::string& binary) {
     // the destructor's waitpid). The child's own end survives exec via
     // dup2 onto stdin/stdout, which clears the flag on the new fds.
     if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
-        throw_errno("socketpair failed");
+        throw transport_error(std::string("socketpair failed: ") +
+                              std::strerror(errno));
     }
     const pid_t pid = ::fork();
     if (pid < 0) {
+        const int error = errno;
         ::close(sv[0]);
         ::close(sv[1]);
-        throw_errno("fork failed");
+        throw transport_error(std::string("fork failed: ") +
+                              std::strerror(error));
     }
     if (pid == 0) {
         // Child: the worker speaks the protocol on stdin/stdout. Lanes
@@ -86,20 +43,21 @@ process_transport::process_transport(const std::string& binary) {
         ::close(sv[1]);
         char* const argv[] = {const_cast<char*>(binary.c_str()), nullptr};
         ::execv(binary.c_str(), argv);
-        // Exec failure: exit silently; the parent sees EOF on first recv
-        // and reports a transport_error naming the binary via the
-        // factory's message context.
+        // Exec failure: exit silently; the parent sees EOF on its first
+        // recv, a transport_error naming the binary.
         ::_exit(127);
     }
     ::close(sv[1]);
-    fd_ = sv[0];
     pid_ = pid;
+    // No I/O deadline: a worker may compute for as long as its span takes,
+    // and its death shows as EOF on the socketpair.
+    channel_.emplace(util::unique_fd(sv[0]),
+                     binary + " (pid " + std::to_string(pid) + ")",
+                     tcp_options{.io_timeout_ms = -1});
 }
 
 process_transport::~process_transport() {
-    if (fd_ >= 0) {
-        ::close(fd_); // EOF: the worker's frame loop exits
-    }
+    channel_.reset(); // EOF: the worker's frame loop ends
     if (pid_ > 0) {
         int status = 0;
         while (::waitpid(static_cast<pid_t>(pid_), &status, 0) < 0 &&
@@ -109,30 +67,11 @@ process_transport::~process_transport() {
 }
 
 void process_transport::send_message(std::span<const std::uint8_t> payload) {
-    QUORUM_EXPECTS_MSG(payload.size() <= wire::max_message_bytes,
-                       "wire: message exceeds the frame size limit");
-    std::uint8_t header[4];
-    const auto size = static_cast<std::uint32_t>(payload.size());
-    for (int shift = 0; shift < 32; shift += 8) {
-        header[shift / 8] = static_cast<std::uint8_t>(size >> shift);
-    }
-    send_all(fd_, header, sizeof(header));
-    send_all(fd_, payload.data(), payload.size());
+    channel_->send_message(payload);
 }
 
 std::vector<std::uint8_t> process_transport::recv_message() {
-    std::uint8_t header[4];
-    recv_all(fd_, header, sizeof(header));
-    std::uint32_t size = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-        size |= static_cast<std::uint32_t>(header[shift / 8]) << shift;
-    }
-    if (size > wire::max_message_bytes) {
-        throw transport_error("worker sent an oversized frame");
-    }
-    std::vector<std::uint8_t> payload(size);
-    recv_all(fd_, payload.data(), payload.size());
-    return payload;
+    return channel_->recv_message();
 }
 
 std::string default_worker_binary() {

@@ -1,14 +1,15 @@
 // Subprocess transport for the remote execution backend: spawns one
 // quorum_worker per fleet lane over a Unix socketpair wired to the
-// worker's stdin/stdout, and frames wire messages as u32-little-endian
-// length + payload. It implements the wire_transport seam of
-// exec/wire.h, as the TCP transport (exec/tcp_transport.h) does.
+// worker's stdin/stdout, and talks to it through a tcp_transport
+// (exec/tcp_transport.h) that adopts the socketpair's other end. This
+// class adds only the process: fork/exec, and the reap.
 #ifndef QUORUM_EXEC_PROCESS_TRANSPORT_H
 #define QUORUM_EXEC_PROCESS_TRANSPORT_H
 
+#include <optional>
 #include <string>
 
-#include "exec/wire.h"
+#include "exec/tcp_transport.h"
 
 namespace quorum::exec {
 
@@ -30,7 +31,7 @@ public:
     [[nodiscard]] std::vector<std::uint8_t> recv_message() override;
 
 private:
-    int fd_ = -1;
+    std::optional<tcp_transport> channel_;
     long pid_ = -1;
 };
 

@@ -36,14 +36,15 @@ namespace quorum::exec {
 struct program;
 
 /// One lane's slice of a batch, as plain data. In-process execution
-/// resolves `prog` and the sample span directly; the worker fleet ships
-/// the compiled program and the span's samples, each with its own rng
-/// stream snapshot, over the wire instead.
+/// runs the sample span directly; the worker fleet ships the compiled
+/// program and the span's samples, each with its own rng stream
+/// snapshot, over the wire instead.
 struct shard_work {
     std::size_t shard = 0;         ///< span index the work is keyed to
     std::size_t first = 0;         ///< first sample index of the span
     std::size_t count = 0;         ///< samples in the span (> 0)
-    const program* prog = nullptr; ///< compiled-program handle
+    /// The planner's `prog` argument, copied; no executor reads it.
+    const program* prog = nullptr;
 };
 
 /// Builds the deterministic STATIC work plan: min(lanes, n_samples)

@@ -48,8 +48,8 @@ inline constexpr std::uint32_t protocol_magic = 0x574D5251u;
 /// decoder takes it from the prefix length).
 inline constexpr std::uint32_t protocol_version = 3;
 
-/// Upper bound a transport accepts for one message (guards length-prefix
-/// framing against allocating garbage lengths from a corrupt stream).
+/// Upper bound on one frame's payload (exec/wire.h's send_frame and
+/// recv_frame check it, so a corrupt length never becomes an allocation).
 inline constexpr std::size_t max_message_bytes = std::size_t{1} << 28;
 
 /// Message type tag — the first byte of every payload.

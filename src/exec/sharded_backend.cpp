@@ -1,5 +1,6 @@
 #include "exec/sharded_backend.h"
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 
@@ -43,10 +44,36 @@ void sharded_backend::run_batch(const program& prog,
     // Validate the whole batch up front so a malformed sample is reported
     // once, deterministically, instead of from whichever shard saw it.
     validate_batch(prog, samples, out, needs_rng_);
+    dispatch({&prog, 1}, 0, samples, out);
+}
+
+void sharded_backend::run_batch_levels(std::span<const program> levels,
+                                       std::span<const sample> samples,
+                                       std::span<double> out) const {
+    validate_level_batch(levels, samples, out, needs_rng_);
+    dispatch(levels, levels.size(), samples, out);
+}
+
+void sharded_backend::dispatch(std::span<const program> family,
+                               std::size_t levels,
+                               std::span<const sample> samples,
+                               std::span<double> out) const {
+    // The plan stays keyed by sample index ONLY (levels ride along in the
+    // sample-major output layout), so shard invariance and per-sample rng
+    // derivation are preserved bit-for-bit for fused families too.
     const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), shards_, &prog);
+        planner_.plan(samples.size(), shards_);
+    const std::size_t width = std::max<std::size_t>(levels, 1);
+    const auto run = [&](std::span<const sample> span_samples,
+                         std::span<double> span_out) {
+        if (levels == 0) {
+            inner_->run_batch(family[0], span_samples, span_out);
+        } else {
+            inner_->run_batch_levels(family, span_samples, span_out);
+        }
+    };
     if (plan.size() <= 1) {
-        inner_->run_batch(prog, samples, out);
+        run(samples, out);
         return;
     }
     // parallel_for's claim counter IS the dynamic pull queue: shards_
@@ -56,43 +83,12 @@ void sharded_backend::run_batch(const program& prog,
     pool().parallel_for(plan.size(), [&](std::size_t k) {
         const shard_work& work = plan[k];
         try {
-            inner_->run_batch(*work.prog,
-                              samples.subspan(work.first, work.count),
-                              out.subspan(work.first, work.count));
+            run(samples.subspan(work.first, work.count),
+                out.subspan(work.first * width, work.count * width));
         } catch (const util::contract_error& error) {
             // Label contract violations with the failing shard; any other
             // exception type (bad_alloc, ...) propagates unchanged so
             // callers can still classify it.
-            throw util::contract_error(
-                "shard " + std::to_string(work.shard) + " (samples [" +
-                std::to_string(work.first) + ", " +
-                std::to_string(work.first + work.count) +
-                ")) failed: " + error.what());
-        }
-    });
-}
-
-void sharded_backend::run_batch_levels(std::span<const program> levels,
-                                       std::span<const sample> samples,
-                                       std::span<double> out) const {
-    validate_level_batch(levels, samples, out, needs_rng_);
-    // The plan stays keyed by sample index ONLY (levels ride along in the
-    // sample-major output layout), so shard invariance and per-sample rng
-    // derivation are preserved bit-for-bit for fused families too.
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), shards_, nullptr);
-    const std::size_t count = levels.size();
-    if (plan.size() <= 1) {
-        inner_->run_batch_levels(levels, samples, out);
-        return;
-    }
-    pool().parallel_for(plan.size(), [&](std::size_t k) {
-        const shard_work& work = plan[k];
-        try {
-            inner_->run_batch_levels(
-                levels, samples.subspan(work.first, work.count),
-                out.subspan(work.first * count, work.count * count));
-        } catch (const util::contract_error& error) {
             throw util::contract_error(
                 "shard " + std::to_string(work.shard) + " (samples [" +
                 std::to_string(work.first) + ", " +

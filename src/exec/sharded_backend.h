@@ -9,10 +9,10 @@
 // each sample carries — so exact AND stochastic modes produce bit-identical
 // scores for any shard count and any inner batch order.
 //
-// The shard boundary is the future multi-process/remote seam: a shard's
-// work is described by a plain `shard_work` struct (sample span +
-// compiled-program handle + derived rng seed), not a captured closure, so
-// a remote executor can serialise the same plan instead of sharing memory.
+// The shard boundary is the same seam the worker fleet uses: a shard's
+// work is described by a plain `shard_work` sample span, not a captured
+// closure, so a remote executor serialises the same plan instead of
+// sharing memory.
 #ifndef QUORUM_EXEC_SHARDED_BACKEND_H
 #define QUORUM_EXEC_SHARDED_BACKEND_H
 
@@ -88,6 +88,13 @@ public:
     [[nodiscard]] const executor& inner() const noexcept { return *inner_; }
 
 private:
+    /// The one plan, fan-out and relabel body behind both batch calls:
+    /// `levels` == 0 runs family[0] through run_batch, >= 1 the whole
+    /// family through run_batch_levels (`levels` values per sample).
+    void dispatch(std::span<const program> family, std::size_t levels,
+                  std::span<const sample> samples,
+                  std::span<double> out) const;
+
     /// Lazily builds (first multi-shard batch) and returns the shard
     /// pool: construction stays thread-free, so config validation can
     /// instantiate the backend without spawning workers, and shards == 1

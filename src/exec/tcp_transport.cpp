@@ -2,20 +2,9 @@
 
 #include <utility>
 
-#include "exec/serialise.h"
 #include "util/contracts.h"
 
 namespace quorum::exec {
-
-namespace {
-
-/// Collapses every runtime socket failure into the transport layer's
-/// retryable error type; util::net messages already name the peer.
-[[noreturn]] void rethrow_as_transport(const util::net_error& error) {
-    throw transport_error(error.what());
-}
-
-} // namespace
 
 tcp_transport::tcp_transport(const util::endpoint& peer,
                              const tcp_options& options)
@@ -23,7 +12,7 @@ tcp_transport::tcp_transport(const util::endpoint& peer,
     try {
         fd_ = util::connect_tcp(peer, options_.connect_timeout_ms);
     } catch (const util::net_error& error) {
-        rethrow_as_transport(error);
+        throw transport_error(error.what());
     }
 }
 
@@ -35,43 +24,16 @@ tcp_transport::tcp_transport(util::unique_fd fd, std::string peer_label,
 }
 
 void tcp_transport::send_message(std::span<const std::uint8_t> payload) {
-    QUORUM_EXPECTS_MSG(payload.size() <= wire::max_message_bytes,
-                       "wire: message exceeds the frame size limit");
-    std::uint8_t header[4];
-    const auto size = static_cast<std::uint32_t>(payload.size());
-    for (int shift = 0; shift < 32; shift += 8) {
-        header[shift / 8] = static_cast<std::uint8_t>(size >> shift);
-    }
-    try {
-        util::send_all(fd_.get(), header, sizeof(header),
-                       options_.io_timeout_ms, peer_);
-        util::send_all(fd_.get(), payload.data(), payload.size(),
-                       options_.io_timeout_ms, peer_);
-    } catch (const util::net_error& error) {
-        rethrow_as_transport(error);
-    }
+    wire::send_frame(fd_.get(), payload, options_.io_timeout_ms, peer_);
 }
 
 std::vector<std::uint8_t> tcp_transport::recv_message() {
-    std::uint8_t header[4];
-    std::uint32_t size = 0;
-    try {
-        util::recv_all(fd_.get(), header, sizeof(header),
-                       options_.io_timeout_ms, peer_);
-        for (int shift = 0; shift < 32; shift += 8) {
-            size |= static_cast<std::uint32_t>(header[shift / 8]) << shift;
-        }
-        if (size > wire::max_message_bytes) {
-            throw transport_error(peer_ + ": sent an oversized frame (" +
-                                  std::to_string(size) + " bytes)");
-        }
-        std::vector<std::uint8_t> payload(size);
-        util::recv_all(fd_.get(), payload.data(), payload.size(),
-                       options_.io_timeout_ms, peer_);
-        return payload;
-    } catch (const util::net_error& error) {
-        rethrow_as_transport(error);
+    std::optional<std::vector<std::uint8_t>> payload =
+        wire::recv_frame(fd_.get(), options_.io_timeout_ms, peer_);
+    if (!payload) {
+        throw transport_error(peer_ + ": peer closed the connection");
     }
+    return std::move(*payload);
 }
 
 transport_factory

@@ -1,9 +1,9 @@
-// TCP transport for remote execution: the wire_transport seam
-// (exec/wire.h) over a real socket instead of a socketpair to a spawned
-// child. Framing is identical to process_transport — u32
-// little-endian length prefix + payload, max_message_bytes guard — so a
-// `quorum_worker --listen` on the other end of the network is
-// indistinguishable from one on the other end of a pipe.
+// Socket transport for remote execution: the wire_transport seam
+// (exec/wire.h) over a TCP connection, or over any connected stream
+// socket it adopts (process_transport's socketpair to a spawned worker).
+// Every message travels as one wire::send_frame / wire::recv_frame
+// frame, so a `quorum_worker --listen` on the other end of the network
+// is indistinguishable from one on the other end of a socketpair.
 //
 // Every failure (refused connection, timeout, reset, mid-frame EOF)
 // surfaces as transport_error naming "host:port", which slots straight

@@ -5,6 +5,7 @@
 #include "exec/registry.h"
 #include "exec/serialise.h"
 #include "util/contracts.h"
+#include "util/net.h"
 
 namespace quorum::exec {
 
@@ -115,5 +116,69 @@ worker_session::handle(std::span<const std::uint8_t> request) {
         return wire::encode_error_reply(error.what());
     }
 }
+
+channel_outcome serve_channel(int in_fd, int out_fd) {
+    const std::string peer = "client";
+    worker_session session;
+    try {
+        while (const std::optional<std::vector<std::uint8_t>> request =
+                   wire::recv_frame(in_fd, -1, peer)) {
+            const std::vector<std::uint8_t> reply = session.handle(*request);
+            if (session.shutdown_requested()) {
+                return {channel_end::shutdown, {}};
+            }
+            wire::send_frame(out_fd, reply, -1, peer);
+        }
+        return {channel_end::clean_close, {}};
+    } catch (const std::exception& error) {
+        return {channel_end::failure, error.what()};
+    }
+}
+
+namespace wire {
+
+void send_frame(int fd, std::span<const std::uint8_t> payload,
+                int timeout_ms, const std::string& peer) {
+    QUORUM_EXPECTS_MSG(payload.size() <= max_message_bytes,
+                       "wire: message exceeds the frame size limit");
+    std::uint8_t header[4];
+    const auto size = static_cast<std::uint32_t>(payload.size());
+    for (int shift = 0; shift < 32; shift += 8) {
+        header[shift / 8] = static_cast<std::uint8_t>(size >> shift);
+    }
+    try {
+        util::send_all(fd, header, sizeof(header), timeout_ms, peer);
+        util::send_all(fd, payload.data(), payload.size(), timeout_ms, peer);
+    } catch (const util::net_error& error) {
+        throw transport_error(error.what());
+    }
+}
+
+std::optional<std::vector<std::uint8_t>>
+recv_frame(int fd, int timeout_ms, const std::string& peer) {
+    try {
+        std::uint8_t header[4];
+        if (!util::recv_all_or_eof(fd, header, sizeof(header), timeout_ms,
+                                   peer)) {
+            return std::nullopt;
+        }
+        std::uint32_t size = 0;
+        for (int shift = 0; shift < 32; shift += 8) {
+            size |= static_cast<std::uint32_t>(header[shift / 8]) << shift;
+        }
+        if (size > max_message_bytes) {
+            throw transport_error(peer + ": sent an oversized frame (" +
+                                  std::to_string(size) + " bytes)");
+        }
+        std::vector<std::uint8_t> payload(size);
+        util::recv_all(fd, payload.data(), payload.size(), timeout_ms,
+                       peer);
+        return payload;
+    } catch (const util::net_error& error) {
+        throw transport_error(error.what());
+    }
+}
+
+} // namespace wire
 
 } // namespace quorum::exec

@@ -248,8 +248,10 @@ void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
         if (!wait_ready(fd, POLLOUT, until, peer, "send")) {
             throw net_error(peer + ": send timed out");
         }
-        const ssize_t n =
-            ::send(fd, bytes + sent, size - sent, MSG_NOSIGNAL);
+        ssize_t n = ::send(fd, bytes + sent, size - sent, MSG_NOSIGNAL);
+        if (n < 0 && errno == ENOTSOCK) {
+            n = ::write(fd, bytes + sent, size - sent);
+        }
         if (n < 0) {
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK) {
@@ -270,7 +272,7 @@ bool recv_all_or_eof(int fd, void* data, std::size_t size, int timeout_ms,
         if (!wait_ready(fd, POLLIN, until, peer, "recv")) {
             throw net_error(peer + ": recv timed out");
         }
-        const ssize_t n = ::recv(fd, bytes + received, size - received, 0);
+        const ssize_t n = ::read(fd, bytes + received, size - received);
         if (n < 0) {
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK) {

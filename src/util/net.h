@@ -96,12 +96,16 @@ private:
 
 /// Writes the whole buffer before `timeout_ms` elapses (< 0 = no
 /// deadline). EINTR-safe; MSG_NOSIGNAL so a dead peer is an error, not a
-/// SIGPIPE. Throws net_error naming `peer`.
+/// SIGPIPE. A descriptor that is not a socket (a worker's stdout on a
+/// pipe or file) is written with write(2), where SIGPIPE is the
+/// process's to ignore. Throws net_error naming `peer`.
 void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
               const std::string& peer);
 
 /// Reads exactly `size` bytes before the deadline; EOF anywhere inside
-/// the buffer throws (the peer died mid-message).
+/// the buffer throws (the peer died mid-message). Reads with read(2), so
+/// any readable descriptor serves, not only a socket (a worker's stdin
+/// on /dev/null or a pipe).
 void recv_all(int fd, void* data, std::size_t size, int timeout_ms,
               const std::string& peer);
 

@@ -295,6 +295,111 @@ TEST(QuorumDetector, FourQubitEncodingRuns) {
     }
 }
 
+// --- degenerate inputs ------------------------------------------------------
+
+dataset constant_table(std::size_t rows, std::size_t features,
+                       double value) {
+    dataset d(rows, features);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < features; ++j) {
+            d.at(i, j) = value;
+        }
+    }
+    return d;
+}
+
+quorum_config four_groups(exec_mode mode) {
+    quorum_config config;
+    config.ensemble_groups = 4;
+    config.mode = mode;
+    config.seed = 11;
+    return config;
+}
+
+TEST(QuorumDegenerate, AllConstantTableScoresZeroInExactMode) {
+    // Every row is the same point, so every run's spread is zero and no
+    // run contributes.
+    const score_report report = quorum_detector(four_groups(exec_mode::exact))
+                                    .score(constant_table(5, 3, 0.7));
+    ASSERT_EQ(report.scores.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(report.scores[i], 0.0) << i;
+        EXPECT_EQ(report.run_counts[i], 0u) << i;
+    }
+}
+
+TEST(QuorumDegenerate, AllConstantTableScoresFiniteInSampledMode) {
+    const score_report report =
+        quorum_detector(four_groups(exec_mode::sampled))
+            .score(constant_table(5, 3, 0.7));
+    ASSERT_EQ(report.scores.size(), 5u);
+    for (const double s : report.scores) {
+        EXPECT_TRUE(std::isfinite(s));
+        EXPECT_GE(s, 0.0);
+    }
+}
+
+TEST(QuorumDegenerate, ConstantColumnNormalisesToZero) {
+    dataset d = planted_dataset(29, 24, 2);
+    dataset shifted = d;
+    for (std::size_t i = 0; i < d.num_samples(); ++i) {
+        d.at(i, 3) = 5.0;
+        shifted.at(i, 3) = -3.0;
+    }
+    const dataset normalized = quorum::data::normalize_for_quorum(d);
+    for (std::size_t i = 0; i < d.num_samples(); ++i) {
+        EXPECT_EQ(normalized.at(i, 3), 0.0) << i;
+    }
+    // So the constant's value cannot move a score.
+    const quorum_detector detector(four_groups(exec_mode::exact));
+    EXPECT_EQ(detector.score(d).scores, detector.score(shifted).scores);
+}
+
+TEST(QuorumDegenerate, TwoRowTableIsOneBucketOfTwo) {
+    // Two distinct rows: every contributing run has z = -1 and +1.
+    dataset d(2, 3);
+    const double rows[2][3] = {{0.1, 0.5, 0.9}, {0.8, 0.2, 0.4}};
+    for (std::size_t i = 0; i < 2; ++i) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            d.at(i, j) = rows[i][j];
+        }
+    }
+    const score_report report =
+        quorum_detector(four_groups(exec_mode::exact)).score(d);
+    EXPECT_EQ(report.bucket_size, 2u);
+    ASSERT_EQ(report.scores.size(), 2u);
+    EXPECT_NEAR(report.scores[0], 1.0, 1e-12);
+    EXPECT_NEAR(report.scores[1], 1.0, 1e-12);
+}
+
+TEST(QuorumDegenerate, DuplicatedRowsScoreFinite) {
+    const dataset base = planted_dataset(31, 12, 1);
+    dataset d(24, base.num_features());
+    for (std::size_t i = 0; i < d.num_samples(); ++i) {
+        for (std::size_t j = 0; j < d.num_features(); ++j) {
+            d.at(i, j) = base.at(i % 12, j);
+        }
+    }
+    for (const exec_mode mode : {exec_mode::exact, exec_mode::sampled}) {
+        const score_report report = quorum_detector(four_groups(mode)).score(d);
+        ASSERT_EQ(report.scores.size(), 24u);
+        for (const double s : report.scores) {
+            EXPECT_TRUE(std::isfinite(s));
+            EXPECT_GE(s, 0.0);
+        }
+    }
+}
+
+TEST(QuorumDetector, OneRowNamesTheRowCountNotASourceFile) {
+    try {
+        (void)quorum_detector(fast_config()).score(dataset(1, 4));
+        FAIL() << "a one-row table was scored";
+    } catch (const quorum::util::contract_error& error) {
+        EXPECT_STREQ(error.what(),
+                     "need at least two samples to compare (got 1)");
+    }
+}
+
 class QuorumModeSweep : public ::testing::TestWithParam<exec_mode> {};
 
 TEST_P(QuorumModeSweep, AllModesProduceFiniteScores) {

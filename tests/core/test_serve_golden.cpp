@@ -506,6 +506,10 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrorReplies) {
     EXPECT_EQ(first_reply_line("QSRV1 SCORE 1 3\n1.0,2.0\n"),
               "QSRV1 ERR malformed feature row 0: 2 values where the "
               "header has 3");
+    // A well-formed table too small to score: the reply names the row
+    // count, not a source file of the daemon's build.
+    EXPECT_EQ(first_reply_line("QSRV1 SCORE 1 2\n1.0,2.0\n"),
+              "QSRV1 ERR need at least two samples to compare (got 1)");
 
     // The daemon survives all of that abuse: a well-formed request on a
     // fresh connection still scores.

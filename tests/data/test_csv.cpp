@@ -84,6 +84,61 @@ TEST(Csv, RaggedRowsRejected) {
     }
 }
 
+TEST(Csv, LabelColumnOutsideTheRowIsRejected) {
+    // Read as given, an index past the row would score the labels as a
+    // feature, and a negative index other than -1 would mean "no label".
+    for (const int column : {3, 7, -2, -5}) {
+        std::istringstream in("\na,b,label\n0.1,0.2,0\n0.3,0.4,1\n");
+        csv_options options;
+        options.label_column = column;
+        try {
+            (void)read_csv(in, options);
+            FAIL() << "label column " << column << " accepted";
+        } catch (const quorum::util::contract_error& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("CSV line 3: label column " +
+                                std::to_string(column) +
+                                " is outside the row's 3 columns"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    for (const int column : {-1, 0, 2}) {
+        std::istringstream in("a,b,label\n0.1,0.2,0\n0.3,0.4,1\n");
+        csv_options options;
+        options.label_column = column;
+        EXPECT_EQ(read_csv(in, options).num_features(),
+                  column == -1 ? 3u : 2u)
+            << column;
+    }
+}
+
+TEST(Csv, HeaderWidthMustMatchTheFirstDataRow) {
+    // Either way round, the names could not be matched to the columns:
+    // a shifted or truncated file.
+    const struct {
+        const char* text;
+        const char* message;
+    } cases[] = {
+        {"a,b,c\n1,2\n3,4\n", "CSV header on line 1 has 3 columns where "
+                               "the first data row, line 2, has 2"},
+        {"\na,b\n\n1,2,3\n4,5,6\n", "CSV header on line 2 has 2 columns "
+                                     "where the first data row, line 4, "
+                                     "has 3"},
+    };
+    for (const auto& c : cases) {
+        std::istringstream in(c.text);
+        try {
+            (void)read_csv(in, csv_options{});
+            FAIL() << "accepted: " << c.text;
+        } catch (const quorum::util::contract_error& error) {
+            EXPECT_NE(std::string(error.what()).find(c.message),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
 TEST(Csv, UnderflowingNumbersKeepTheirValue) {
     // strtod reports ERANGE for these; they are still numbers, not
     // categories: a subnormal stays a subnormal and a deeper underflow

@@ -622,6 +622,9 @@ TEST_F(worker_env, MissingWorkerBinarySurfacesAsAStructuredError) {
     } catch (const util::contract_error& error) {
         EXPECT_NE(std::strstr(error.what(), "remote worker 0"), nullptr)
             << error.what();
+        EXPECT_NE(std::strstr(error.what(), "/nonexistent/quorum_worker"),
+                  nullptr)
+            << error.what();
     }
 }
 

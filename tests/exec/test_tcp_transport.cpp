@@ -1,10 +1,11 @@
 // TCP transport property suite: endpoint parsing, framing over real
 // sockets (partial reads, truncation at every byte boundary, oversized
 // frames), the byte-pinned framed handshake, structured connect/timeout
-// errors naming host:port, and the remote backend (a fleet_executor over
-// a private worker fleet) running over tcp_transport_factory against
-// REAL `quorum_worker --listen` processes with lane counts that
-// round-robin over fewer workers.
+// errors naming host:port, the worker's frame loop (exec::serve_channel)
+// driven in process, and the remote backend (a fleet_executor over a
+// private worker fleet) running over tcp_transport_factory against REAL
+// `quorum_worker --listen` processes with lane counts that round-robin
+// over fewer workers.
 //
 // The in-process cases use AF_UNIX socketpairs adopted by the transport
 // (identical code path to a TCP fd), so the framing properties all run
@@ -305,6 +306,202 @@ TEST(TcpTransport, HandshakeAckRoundTripsOverTheFramedChannel) {
     EXPECT_NO_THROW(exec::wire::check_hello_ack(ack, "test-peer:0"));
 }
 
+struct tcp_batch_fixture {
+    qml::ansatz_params params;
+    std::vector<std::vector<double>> amplitudes;
+
+    explicit tcp_batch_fixture(std::uint64_t seed, std::size_t samples = 12) {
+        util::rng gen(seed);
+        params = qml::random_ansatz_params(3, 2, gen);
+        amplitudes.resize(samples);
+        for (auto& amps : amplitudes) {
+            std::vector<double> features(7);
+            for (double& f : features) {
+                f = gen.uniform() / 7.0;
+            }
+            amps = qml::to_amplitudes(features, 3);
+        }
+    }
+
+    [[nodiscard]] std::vector<exec::sample>
+    make_samples(std::vector<util::rng>* gens = nullptr) const {
+        std::vector<exec::sample> samples(amplitudes.size());
+        for (std::size_t i = 0; i < amplitudes.size(); ++i) {
+            samples[i].amplitudes = amplitudes[i];
+            if (gens != nullptr) {
+                samples[i].gen = &(*gens)[i];
+            }
+        }
+        return samples;
+    }
+
+    [[nodiscard]] std::vector<util::rng> make_gens(std::uint64_t seed) const {
+        std::vector<util::rng> gens;
+        gens.reserve(amplitudes.size());
+        for (std::size_t i = 0; i < amplitudes.size(); ++i) {
+            gens.emplace_back(util::derive_seed(seed, i));
+        }
+        return gens;
+    }
+};
+
+exec::program tcp_analytic_program(const qml::ansatz_params& params,
+                                   std::size_t level) {
+    exec::program program;
+    program.circuit = qsim::compiled_program::compile(
+        qml::autoencoder_reg_a_template(params, level));
+    program.readout.kind = exec::readout_kind::prep_overlap_p1;
+    return program;
+}
+
+// --- the worker's frame loop, in process -----------------------------------
+
+/// Everything readable from `fd` until EOF.
+std::vector<std::uint8_t> read_to_eof(int fd) {
+    std::vector<std::uint8_t> bytes;
+    std::uint8_t buffer[4096];
+    for (ssize_t n = 0; (n = ::read(fd, buffer, sizeof(buffer))) > 0;) {
+        bytes.insert(bytes.end(), buffer, buffer + n);
+    }
+    return bytes;
+}
+
+struct served {
+    exec::channel_outcome outcome;
+    std::vector<std::uint8_t> written; ///< every byte the loop sent back
+};
+
+/// Writes `bytes` into one end of a socketpair, closes that end for
+/// writing, and serves the other end with serve_channel until it ends.
+served serve_bytes(std::span<const std::uint8_t> bytes) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        throw std::runtime_error("socketpair failed");
+    }
+    const util::unique_fd client(fds[0]);
+    util::unique_fd worker(fds[1]);
+    write_raw(client.get(), bytes.data(), bytes.size());
+    ::shutdown(client.get(), SHUT_WR);
+    served result{exec::serve_channel(worker.get(), worker.get()), {}};
+    worker.reset();
+    result.written = read_to_eof(client.get());
+    return result;
+}
+
+std::vector<std::uint8_t> framed_hello() {
+    return frame(
+        exec::wire::encode_hello("statevector", exec::engine_config{}));
+}
+
+TEST(WorkerChannel, ServesHelloASpanAndShutdownToATransport) {
+    // serve_channel on one end of a socketpair, the transport the fleet
+    // uses on the other: the span's reply is exactly the result reply
+    // of the plain backend's scores, and shutdown gets no reply.
+    const tcp_batch_fixture fixture(97, 5);
+    const exec::program prog = tcp_analytic_program(fixture.params, 1);
+    const std::vector<exec::sample> samples = fixture.make_samples();
+    std::vector<double> reference(samples.size());
+    exec::make_executor("statevector", exec::engine_config{})
+        ->run_batch(prog, samples, reference);
+
+    wire_pair pair = wire_pair::make();
+    exec::channel_outcome outcome;
+    std::thread worker([&] {
+        outcome = exec::serve_channel(pair.theirs.get(), pair.theirs.get());
+    });
+    pair.transport.send_message(
+        exec::wire::encode_hello("statevector", exec::engine_config{}));
+    EXPECT_NO_THROW(exec::wire::check_hello_ack(
+        pair.transport.recv_message(), "test-peer:0"));
+    exec::wire::writer block;
+    exec::wire::encode_program(block, prog);
+    const exec::shard_work span{0, 0, samples.size(), nullptr};
+    pair.transport.send_message(exec::wire::encode_span_request(
+        span, block.data(), samples, 0, false));
+    EXPECT_EQ(pair.transport.recv_message(),
+              exec::wire::encode_result_reply(reference));
+    pair.transport.send_message(exec::wire::encode_shutdown());
+    worker.join();
+    EXPECT_EQ(outcome.end, exec::channel_end::shutdown);
+    EXPECT_EQ(outcome.error, "");
+    pair.theirs.reset(); // the channel holds no reply to the shutdown
+    EXPECT_THROW((void)pair.transport.recv_message(), exec::transport_error);
+}
+
+TEST(WorkerChannel, TruncatedRequestEndsInAFailureWithoutAReply) {
+    // The client sends the first `cut` bytes of a hello frame and closes:
+    // at every cut inside the header or the payload the loop ends with a
+    // failure naming its peer, and has written nothing.
+    const std::vector<std::uint8_t> bytes = framed_hello();
+    for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+        const served run = serve_bytes({bytes.data(), cut});
+        EXPECT_EQ(run.outcome.end, exec::channel_end::failure)
+            << "cut=" << cut;
+        EXPECT_EQ(run.outcome.error.rfind("client: ", 0), 0u)
+            << "cut=" << cut << ": " << run.outcome.error;
+        EXPECT_TRUE(run.written.empty()) << "cut=" << cut;
+    }
+}
+
+TEST(WorkerChannel, OversizedLengthHeaderIsRejectedBeforeAllocating) {
+    // max_message_bytes + 1 would be a cheap allocation: a loop that
+    // allocated before checking would fail later, on the missing
+    // payload, with a different error.
+    for (const std::uint64_t size :
+         {std::uint64_t{exec::wire::max_message_bytes} + 1,
+          std::uint64_t{0xFFFFFFFF}}) {
+        std::uint8_t header[4];
+        for (int shift = 0; shift < 32; shift += 8) {
+            header[shift / 8] = static_cast<std::uint8_t>(size >> shift);
+        }
+        const served run = serve_bytes(header);
+        EXPECT_EQ(run.outcome.end, exec::channel_end::failure) << size;
+        EXPECT_NE(run.outcome.error.find("oversized frame (" +
+                                         std::to_string(size) + " bytes)"),
+                  std::string::npos)
+            << run.outcome.error;
+        EXPECT_TRUE(run.written.empty()) << size;
+    }
+}
+
+TEST(WorkerChannel, CloseBetweenFramesIsACleanEnd) {
+    const served idle = serve_bytes({});
+    EXPECT_EQ(idle.outcome.end, exec::channel_end::clean_close);
+    EXPECT_TRUE(idle.written.empty());
+
+    // After a whole request: the reply is sent, then the close is clean.
+    const std::vector<std::uint8_t> hello = framed_hello();
+    const served after = serve_bytes(hello);
+    EXPECT_EQ(after.outcome.end, exec::channel_end::clean_close);
+    EXPECT_EQ(after.outcome.error, "");
+    EXPECT_EQ(after.written,
+              frame(exec::worker_session{}.handle(
+                  std::span<const std::uint8_t>(hello).subspan(4))));
+}
+
+TEST(WorkerChannel, ServesPipesAsWellAsSockets) {
+    // A worker's stdin and stdout need not be sockets: a pipe (or
+    // /dev/null) is read and written as well.
+    int in[2];
+    int out[2];
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    const util::unique_fd in_read(in[0]);
+    util::unique_fd in_write(in[1]);
+    const util::unique_fd out_read(out[0]);
+    util::unique_fd out_write(out[1]);
+    const std::vector<std::uint8_t> hello = framed_hello();
+    write_raw(in_write.get(), hello.data(), hello.size());
+    in_write.reset();
+    const exec::channel_outcome outcome =
+        exec::serve_channel(in_read.get(), out_write.get());
+    out_write.reset();
+    EXPECT_EQ(outcome.end, exec::channel_end::clean_close) << outcome.error;
+    EXPECT_EQ(read_to_eof(out_read.get()),
+              frame(exec::worker_session{}.handle(
+                  std::span<const std::uint8_t>(hello).subspan(4))));
+}
+
 // --- real `quorum_worker --listen` processes --------------------------------
 
 #ifdef QUORUM_WORKER_BIN
@@ -370,54 +567,6 @@ private:
     pid_t pid_ = -1;
     util::endpoint endpoint_;
 };
-
-struct tcp_batch_fixture {
-    qml::ansatz_params params;
-    std::vector<std::vector<double>> amplitudes;
-
-    explicit tcp_batch_fixture(std::uint64_t seed, std::size_t samples = 12) {
-        util::rng gen(seed);
-        params = qml::random_ansatz_params(3, 2, gen);
-        amplitudes.resize(samples);
-        for (auto& amps : amplitudes) {
-            std::vector<double> features(7);
-            for (double& f : features) {
-                f = gen.uniform() / 7.0;
-            }
-            amps = qml::to_amplitudes(features, 3);
-        }
-    }
-
-    [[nodiscard]] std::vector<exec::sample>
-    make_samples(std::vector<util::rng>* gens = nullptr) const {
-        std::vector<exec::sample> samples(amplitudes.size());
-        for (std::size_t i = 0; i < amplitudes.size(); ++i) {
-            samples[i].amplitudes = amplitudes[i];
-            if (gens != nullptr) {
-                samples[i].gen = &(*gens)[i];
-            }
-        }
-        return samples;
-    }
-
-    [[nodiscard]] std::vector<util::rng> make_gens(std::uint64_t seed) const {
-        std::vector<util::rng> gens;
-        gens.reserve(amplitudes.size());
-        for (std::size_t i = 0; i < amplitudes.size(); ++i) {
-            gens.emplace_back(util::derive_seed(seed, i));
-        }
-        return gens;
-    }
-};
-
-exec::program tcp_analytic_program(const qml::ansatz_params& params,
-                                   std::size_t level) {
-    exec::program program;
-    program.circuit = qsim::compiled_program::compile(
-        qml::autoencoder_reg_a_template(params, level));
-    program.readout.kind = exec::readout_kind::prep_overlap_p1;
-    return program;
-}
 
 TEST(TcpWorker, RemoteBackendOverTcpMatchesThePlainBackend) {
     // Two real --listen workers; lane counts {1, 2, 4} round-robin the

@@ -52,11 +52,12 @@ std::string read_all(std::FILE* file) {
     return text;
 }
 
-/// Runs `binary` with the given arguments and stdin from /dev/null, and
-/// returns its exit code with what it wrote to stdout and stderr. A case
-/// that slips past the flag parser could start a process that never
-/// exits, so the child is killed after 60 s.
-tool_run run_tool(const char* binary, const std::vector<std::string>& args) {
+/// Runs `binary` with the given arguments and stdin from `stdin_fd` (by
+/// default /dev/null), and returns its exit code with what it wrote to
+/// stdout and stderr. A case that slips past the flag parser could start
+/// a process that never exits, so the child is killed after 60 s.
+tool_run run_tool(const char* binary, const std::vector<std::string>& args,
+                  int stdin_fd = -1) {
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(binary));
     for (const std::string& arg : args) {
@@ -71,8 +72,8 @@ tool_run run_tool(const char* binary, const std::vector<std::string>& args) {
     }
     const pid_t pid = ::fork();
     if (pid == 0) {
-        const int null_fd = ::open("/dev/null", O_RDONLY);
-        ::dup2(null_fd, STDIN_FILENO);
+        ::dup2(stdin_fd >= 0 ? stdin_fd : ::open("/dev/null", O_RDONLY),
+               STDIN_FILENO);
         ::dup2(::fileno(out), STDOUT_FILENO);
         ::dup2(::fileno(err), STDERR_FILENO);
         ::execv(binary, argv.data());
@@ -106,6 +107,17 @@ int run_worker(const std::vector<std::string>& args) {
 TEST(WorkerCli, VersionAndHelpExitCleanly) {
     EXPECT_EQ(run_worker({"--version"}), 0);
     EXPECT_EQ(run_worker({"--help"}), 0);
+}
+
+TEST(WorkerCli, StdioWorkerExitsCleanlyOnAnEmptyStdin) {
+    // Neither /dev/null nor a pipe is a socket; both read as a client
+    // that closed before its first frame.
+    EXPECT_EQ(run_worker({}), 0);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ::close(fds[1]);
+    EXPECT_EQ(run_tool(QUORUM_WORKER_BIN, {}, fds[0]).exit_code, 0);
+    ::close(fds[0]);
 }
 
 TEST(WorkerCli, RejectsGarbageRetryValues) {
@@ -393,6 +405,24 @@ TEST(ToolCli, ServeNoLongerTakesAQueueBound) {
     // The fleet sends spans from the calling thread: no queue is left to
     // bound, so --max-queue is an unknown option.
     EXPECT_EQ(run_tool(QUORUM_SERVE_BIN, {"--max-queue", "4"}).exit_code, 2);
+}
+
+TEST(ToolCli, OneRowTableNamesTheRowCount) {
+    // The error is the user's, so it names the row count, not a source
+    // line of the build tree.
+    char pattern[] = "/tmp/quorum_tool_cli_XXXXXX";
+    ASSERT_NE(::mkdtemp(pattern), nullptr);
+    const std::filesystem::path dir(pattern);
+    std::ofstream(dir / "one.csv") << "a,b,c\n0.1,0.2,0.3\n";
+    const tool_run run = run_tool(
+        QUORUM_CLI_BIN, {"--input", (dir / "one.csv").string(), "--out",
+                         (dir / "scores.csv").string()});
+    EXPECT_EQ(run.exit_code, 1);
+    EXPECT_NE(run.err.find("need at least two samples to compare (got 1)"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.err.find(".cpp"), std::string::npos) << run.err;
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ToolCli, QasmToAnUnwritablePathFails) {

@@ -3,7 +3,9 @@
 //
 // Speaks the binary wire protocol (src/exec/serialise.h, documented in
 // docs/ARCHITECTURE.md): length-prefixed frames carrying hello / run_span
-// / run_levels_span / shutdown requests, in one of three channel modes:
+// / run_levels_span / shutdown requests, served by the library's frame
+// loop (exec::serve_channel in src/exec/wire.h) in one of three channel
+// modes:
 //
 //   * default: stdin/stdout — spawned by exec::process_transport, one
 //     worker per remote lane; exits on EOF or a shutdown message;
@@ -19,16 +21,13 @@
 // All logging goes to stderr: stdout carries the protocol (stdio mode) or
 // the one "listening on host:port" line (--listen; port 0 binds an
 // ephemeral port, and scripts parse that line to learn it).
-#include <cerrno>
+#include <chrono>
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <unistd.h>
 
@@ -39,108 +38,16 @@
 
 namespace {
 
-using quorum::exec::wire::max_message_bytes;
+using quorum::exec::channel_end;
 
-/// Reads exactly `size` bytes from `fd`. Returns false on clean EOF at a
-/// frame boundary; a short read mid-frame is a protocol error (the client
-/// died mid-send) and also ends the loop.
-bool read_exact(int fd, std::uint8_t* data, std::size_t size,
-                bool& mid_frame) {
-    std::size_t received = 0;
-    while (received < size) {
-        const ssize_t n = ::read(fd, data + received, size - received);
-        if (n < 0 && errno == EINTR) {
-            continue; // a signal is not the client dying
-        }
-        if (n <= 0) {
-            mid_frame = received > 0;
-            return false;
-        }
-        received += static_cast<std::size_t>(n);
+/// Serves one channel with the library's frame loop, logging a failure.
+channel_end serve(int in_fd, int out_fd) {
+    const quorum::exec::channel_outcome outcome =
+        quorum::exec::serve_channel(in_fd, out_fd);
+    if (outcome.end == channel_end::failure) {
+        std::fprintf(stderr, "quorum_worker: %s\n", outcome.error.c_str());
     }
-    return true;
-}
-
-bool write_exact(int fd, const std::uint8_t* data, std::size_t size) {
-    std::size_t sent = 0;
-    while (sent < size) {
-        const ssize_t n = ::write(fd, data + sent, size - sent);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n <= 0) {
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-enum class channel_outcome {
-    clean_eof, ///< the client closed the channel between frames
-    shutdown,  ///< the client sent a shutdown message
-    error,     ///< mid-frame death, oversized frame, or a failed write
-};
-
-/// One protocol session over a byte channel: frame loop + worker_session.
-/// Every channel gets a fresh session, so no program-cache or engine
-/// state ever crosses connections.
-channel_outcome serve_channel(int in_fd, int out_fd) {
-    quorum::exec::worker_session session;
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        std::uint8_t header[4];
-        bool mid_frame = false;
-        if (!read_exact(in_fd, header, sizeof(header), mid_frame)) {
-            if (mid_frame) {
-                std::fprintf(stderr,
-                             "quorum_worker: client died mid-frame\n");
-                return channel_outcome::error;
-            }
-            return channel_outcome::clean_eof;
-        }
-        std::uint32_t size = 0;
-        for (int shift = 0; shift < 32; shift += 8) {
-            size |= static_cast<std::uint32_t>(header[shift / 8]) << shift;
-        }
-        if (size > max_message_bytes) {
-            std::fprintf(stderr, "quorum_worker: oversized frame (%u)\n",
-                         size);
-            return channel_outcome::error;
-        }
-        payload.resize(size);
-        if (!read_exact(in_fd, payload.data(), payload.size(), mid_frame)) {
-            std::fprintf(stderr, "quorum_worker: client died mid-frame\n");
-            return channel_outcome::error;
-        }
-        const std::vector<std::uint8_t> reply = session.handle(payload);
-        if (session.shutdown_requested()) {
-            return channel_outcome::shutdown;
-        }
-        std::uint8_t reply_header[4];
-        const auto reply_size = static_cast<std::uint32_t>(reply.size());
-        for (int shift = 0; shift < 32; shift += 8) {
-            reply_header[shift / 8] =
-                static_cast<std::uint8_t>(reply_size >> shift);
-        }
-        if (!write_exact(out_fd, reply_header, sizeof(reply_header)) ||
-            !write_exact(out_fd, reply.data(), reply.size())) {
-            std::fprintf(stderr,
-                         "quorum_worker: client closed the channel\n");
-            return channel_outcome::error;
-        }
-    }
-}
-
-int run_stdio() {
-    switch (serve_channel(STDIN_FILENO, STDOUT_FILENO)) {
-    case channel_outcome::clean_eof:
-    case channel_outcome::shutdown:
-        return 0;
-    case channel_outcome::error:
-        return 1;
-    }
-    return 1;
+    return outcome.end;
 }
 
 int run_listen(const quorum::util::endpoint& where) {
@@ -162,7 +69,7 @@ int run_listen(const quorum::util::endpoint& where) {
         // starve the rest. The worker runs until killed, so these
         // threads are fire-and-forget.
         std::thread([fd = conn.release()] {
-            serve_channel(fd, fd);
+            serve(fd, fd);
             ::close(fd);
         }).detach();
     }
@@ -183,9 +90,8 @@ int run_connect(const quorum::util::endpoint& where, int retries,
             }
             return 1;
         }
-        const channel_outcome outcome = serve_channel(conn.get(),
-                                                      conn.get());
-        if (outcome == channel_outcome::shutdown) {
+        const channel_end outcome = serve(conn.get(), conn.get());
+        if (outcome == channel_end::shutdown) {
             return 0; // the coordinator dismissed us; do not rejoin
         }
         conn.reset();
@@ -196,7 +102,7 @@ int run_connect(const quorum::util::endpoint& where, int retries,
                 std::chrono::milliseconds(retry_delay_ms));
             continue;
         }
-        return outcome == channel_outcome::clean_eof ? 0 : 1;
+        return outcome == channel_end::clean_close ? 0 : 1;
     }
 }
 
@@ -268,5 +174,6 @@ int main(int argc, char** argv) {
         flags.print_usage(std::cerr);
         return 2;
     }
-    return run_stdio();
+    return serve(STDIN_FILENO, STDOUT_FILENO) == channel_end::failure ? 1
+                                                                     : 0;
 }
