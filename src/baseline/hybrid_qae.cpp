@@ -136,7 +136,7 @@ std::vector<double> hybrid_qae::fit(const data::dataset& input) {
                             return acc + std::max(0.0, v);
                         });
     basis_.assign(config_.components * features, 0.0);
-    explained_.assign(config_.components, 0.0);
+    std::vector<double> explained(config_.components, 0.0);
     for (std::size_t c = 0; c < config_.components; ++c) {
         const std::size_t col = order[c];
         // Sign convention: the component with the largest magnitude
@@ -153,11 +153,11 @@ std::vector<double> hybrid_qae::fit(const data::dataset& input) {
         for (std::size_t j = 0; j < features; ++j) {
             basis_[c * features + j] = flip * vectors[j * features + col];
         }
-        explained_[c] =
+        explained[c] =
             total > 0.0 ? std::max(0.0, values[col]) / total : 0.0;
     }
     fitted_ = true;
-    return explained_;
+    return explained;
 }
 
 data::dataset hybrid_qae::project(const data::dataset& input) const {

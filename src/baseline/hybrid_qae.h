@@ -78,18 +78,11 @@ public:
     [[nodiscard]] std::vector<double>
     project_row(std::span<const double> row) const;
 
-    /// Explained-variance ratio per kept component (empty before fit()).
-    [[nodiscard]] const std::vector<double>&
-    explained_variance() const noexcept {
-        return explained_;
-    }
-
 private:
     hybrid_qae_config config_;
     std::vector<double> mean_;
     /// Row-major components x features projection matrix.
     std::vector<double> basis_;
-    std::vector<double> explained_;
     bool fitted_ = false;
 };
 

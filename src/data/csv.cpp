@@ -3,12 +3,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "data/preprocess.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::data {
 
@@ -44,11 +46,17 @@ std::size_t for_each_cell(std::string_view line, char delimiter, Fn&& fn) {
 /// entirely a number is strtod's value (a subnormal or a signed zero on
 /// underflow), any other text hashes to [0, 1) as a category. Returns
 /// false for a number that is not finite ("inf", "nan", or one that
-/// overflows). `scratch` holds the terminated copy strtod needs, so a
-/// warm reader allocates nothing per cell.
+/// overflows). A plain decimal is read in place by
+/// util::from_chars_finite, with strtod's bits; only what that declines
+/// is copied into `scratch`, the terminated copy strtod needs, so a warm
+/// reader allocates nothing per cell.
 bool parse_cell(std::string_view cell, std::string& scratch, double& value) {
     if (cell.empty()) {
         value = 0.0;
+        return true;
+    }
+    if (const std::optional<double> fast = util::from_chars_finite(cell)) {
+        value = *fast;
         return true;
     }
     scratch.assign(cell);

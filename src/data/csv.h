@@ -21,13 +21,14 @@ struct csv_options {
 };
 
 /// Reads a dataset from a stream. Empty cells read 0, numeric cells read
-/// as strtod does (an underflow keeps its subnormal or zero), and any
-/// other text is hashed to [0, 1). Throws util::contract_error naming
-/// the 1-based line and column (with its header name) for a numeric cell
-/// that is not finite ("inf", "nan", "1e999"); naming the line and both
-/// widths for a row, or a header, whose width differs from the first
-/// data row's; and naming the line, the column and the width for a
-/// label column that is neither -1 nor inside the first data row.
+/// to strtod's bits (an underflow keeps its subnormal or zero; a plain
+/// decimal takes the std::from_chars fast path, util::from_chars_finite),
+/// and any other text is hashed to [0, 1). Throws util::contract_error
+/// naming the 1-based line and column (with its header name) for a
+/// numeric cell that is not finite ("inf", "nan", "1e999"); naming the
+/// line and both widths for a row, or a header, whose width differs from
+/// the first data row's; and naming the line, the column and the width
+/// for a label column that is neither -1 nor inside the first data row.
 [[nodiscard]] dataset read_csv(std::istream& in, const csv_options& options);
 
 /// Reads a dataset from a file path. Throws std::runtime_error if the file

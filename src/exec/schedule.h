@@ -62,10 +62,12 @@ enum class schedule_policy {
     dynamic_spans,
 };
 
-/// Grain a bare "dynamic" spec defaults to: small enough that a typical
-/// skewed group batch splits into several spans per lane, large enough
-/// that per-span dispatch overhead stays in the noise.
-inline constexpr std::size_t default_dynamic_grain = 8;
+/// Grain a bare "dynamic" spec defaults to. A span is one inner executor
+/// call, which re-plans the family before it replays, so a span needs
+/// hundreds of samples for that to stay in the noise. A call carries a
+/// whole ensemble group's rows, so a group of a few thousand rows still
+/// splits into several spans per lane.
+inline constexpr std::size_t default_dynamic_grain = 256;
 
 /// Cap on dynamic spans per batch: beyond this the effective grain grows
 /// (deterministically, from n_samples alone) so a huge batch with a tiny

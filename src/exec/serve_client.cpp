@@ -1,11 +1,11 @@
 #include "exec/serve_client.h"
 
-#include <cmath>
+#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 #include "exec/wire.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::exec {
 
@@ -15,17 +15,13 @@ std::string serve_format_double(double value) {
     return buffer;
 }
 
-bool serve_parse_double(const std::string& text, double& value) {
-    if (text.empty()) {
-        return false;
+bool serve_parse_double(std::string_view text, double& value) {
+    std::size_t first = 0;
+    while (first < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[first]))) {
+        ++first;
     }
-    char* end = nullptr;
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !std::isfinite(parsed)) {
-        return false;
-    }
-    value = parsed;
-    return true;
+    return util::parse_real(text.substr(first), value);
 }
 
 serve_client::serve_client(const util::endpoint& server, int timeout_ms)

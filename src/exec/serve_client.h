@@ -32,12 +32,14 @@ inline constexpr std::string_view serve_protocol_tag = "QSRV1";
 /// pattern (%.17g — shared with the golden-fixture format).
 [[nodiscard]] std::string serve_format_double(double value);
 
-/// Strict finite double parse (whole token, no trailing garbage; "nan",
-/// "inf" and overflowing numbers such as "1e999" are rejected). Returns
-/// false instead of throwing — both protocol ends parse untrusted text.
-/// Scores are finite by construction, so only a broken peer trips this.
-[[nodiscard]] bool serve_parse_double(const std::string& text,
-                                      double& value);
+/// Strict finite double parse: leading whitespace is skipped, as strtod
+/// skips it, then util::parse_real reads the rest (whole token, no
+/// trailing garbage; "nan", "inf" and overflowing numbers such as
+/// "1e999" are rejected; a plain decimal takes its from_chars fast path,
+/// with strtod's bits). Returns false instead of throwing — both
+/// protocol ends parse untrusted text. Scores are finite by
+/// construction, so only a broken peer trips this.
+[[nodiscard]] bool serve_parse_double(std::string_view text, double& value);
 
 class serve_client {
 public:

@@ -49,19 +49,6 @@ make_offsets(std::span<const qubit_t> qubits) {
     return mask;
 }
 
-/// Removes the bits at the (ascending) positions in `sorted` from `index`,
-/// compacting the remaining bits downward (inverse of expand_index).
-[[nodiscard]] inline std::size_t
-compress_index(std::size_t index, std::span<const qubit_t> sorted) {
-    std::size_t result = index;
-    for (std::size_t i = sorted.size(); i > 0; --i) {
-        const std::size_t position = sorted[i - 1];
-        const std::size_t low_mask = (std::size_t{1} << position) - 1;
-        result = (result & low_mask) | ((result >> 1) & ~low_mask);
-    }
-    return result;
-}
-
 } // namespace quorum::qsim
 
 #endif // QUORUM_QSIM_BIT_OPS_H

@@ -239,22 +239,35 @@ unique_fd accept_tcp(int listen_fd, int timeout_ms) {
     }
 }
 
+// A bounded call polls before each I/O call, so its deadline holds
+// against a peer that never reads or writes; its sends are MSG_DONTWAIT,
+// so a blocking socket whose buffer fills mid-payload returns to the
+// poll instead of waiting inside send(2). An unbounded call makes the
+// I/O call first and polls only once it has seen EAGAIN (a non-blocking
+// descriptor): on a blocking descriptor the call itself waits, and a
+// poll(-1) in front of it would only add a syscall.
+
 void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
               const std::string& peer) {
     const deadline until(timeout_ms);
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     std::size_t sent = 0;
+    bool wait = timeout_ms >= 0;
+    const int flags = MSG_NOSIGNAL | (wait ? MSG_DONTWAIT : 0);
     while (sent < size) {
-        if (!wait_ready(fd, POLLOUT, until, peer, "send")) {
+        if (wait && !wait_ready(fd, POLLOUT, until, peer, "send")) {
             throw net_error(peer + ": send timed out");
         }
-        ssize_t n = ::send(fd, bytes + sent, size - sent, MSG_NOSIGNAL);
+        ssize_t n = ::send(fd, bytes + sent, size - sent, flags);
         if (n < 0 && errno == ENOTSOCK) {
             n = ::write(fd, bytes + sent, size - sent);
         }
         if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK) {
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                wait = true; // non-blocking: poll from now on
+                continue;
+            }
+            if (errno == EINTR) {
                 continue;
             }
             throw_errno(peer + ": send failed");
@@ -268,14 +281,18 @@ bool recv_all_or_eof(int fd, void* data, std::size_t size, int timeout_ms,
     const deadline until(timeout_ms);
     auto* bytes = static_cast<std::uint8_t*>(data);
     std::size_t received = 0;
+    bool wait = timeout_ms >= 0;
     while (received < size) {
-        if (!wait_ready(fd, POLLIN, until, peer, "recv")) {
+        if (wait && !wait_ready(fd, POLLIN, until, peer, "recv")) {
             throw net_error(peer + ": recv timed out");
         }
         const ssize_t n = ::read(fd, bytes + received, size - received);
         if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK) {
+            if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                wait = true; // non-blocking: poll from now on
+                continue;
+            }
+            if (errno == EINTR) {
                 continue;
             }
             throw_errno(peer + ": recv failed");

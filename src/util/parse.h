@@ -1,4 +1,5 @@
-// Strict flag/number parsing shared by the tools layer.
+// Strict flag/number parsing shared by the tools layer, and the number
+// fast path every text-to-double parser in the library goes through.
 //
 // Every helper consumes the WHOLE string or reports failure — no
 // std::atoi-style silent truncation ("banana" → 0) and no unsigned
@@ -8,9 +9,11 @@
 #define QUORUM_UTIL_PARSE_H
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -55,16 +58,39 @@ bool parse_count(std::string_view text, T& out) noexcept {
     return true;
 }
 
+/// The value of `text` when std::from_chars reads all of it as a finite
+/// number, else nullopt. It takes only the plain decimal grammar ("-1.5",
+/// ".5", "2e-3", a subnormal) and declines the rest of what strtod reads:
+/// a leading '+' or blank, hex, "inf"/"nan", overflow, an underflow to
+/// zero, trailing text. Both functions round correctly, so a value it
+/// accepts has strtod's bits. parse_real (and through it
+/// exec::serve_parse_double) and data::read_csv's cells try it first and
+/// keep strtod, with its terminated copy, for what it declines.
+inline std::optional<double> from_chars_finite(std::string_view text) noexcept {
+    double value = 0.0;
+    const char* const last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error != std::errc{} || end != last || !std::isfinite(value)) {
+        return std::nullopt;
+    }
+    return value;
+}
+
 /// Strict double parse: the whole string must be consumed (std::stod
 /// silently accepts trailing garbage like "0.5abc"), with no leading
 /// whitespace, and the value must be finite ("nan", "inf" and "1e999",
-/// which overflows to inf, all fail).
+/// which overflows to inf, all fail). Otherwise strtod's grammar and
+/// bits: a leading '+', hex and an underflow are accepted.
 inline bool parse_real(std::string_view text, double& out) noexcept {
+    if (const std::optional<double> fast = from_chars_finite(text)) {
+        out = *fast;
+        return true;
+    }
     const std::string copy(text); // strtod needs a terminator
     char* end = nullptr;
     const double value = std::strtod(copy.c_str(), &end);
     if (copy.empty() || std::isspace(static_cast<unsigned char>(copy[0])) ||
-        *end != '\0' || !std::isfinite(value)) {
+        end != copy.c_str() + copy.size() || !std::isfinite(value)) {
         return false;
     }
     out = value;

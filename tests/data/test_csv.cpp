@@ -1,13 +1,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../number_corpus.h"
 #include "util/contracts.h"
 
 #include "data/csv.h"
@@ -16,6 +20,29 @@
 namespace {
 
 using namespace quorum::data;
+
+/// A cell as read_csv read it with strtod alone, the reference for its
+/// from_chars fast path: trimmed of spaces, tabs and carriage returns;
+/// empty is 0, wholly a number is strtod's value, other text hashes.
+/// Returns false for a number that is not finite.
+bool strtod_cell(std::string_view raw, std::string& cell, double& value) {
+    const auto first = raw.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos) {
+        cell.clear();
+        value = 0.0;
+        return true;
+    }
+    const auto last = raw.find_last_not_of(" \t\r");
+    cell.assign(raw.substr(first, last - first + 1));
+    char* end = nullptr;
+    const double parsed = std::strtod(cell.c_str(), &end);
+    if (end != cell.c_str() + cell.size()) {
+        value = hash_category(cell);
+        return true;
+    }
+    value = parsed;
+    return std::isfinite(parsed);
+}
 
 TEST(Csv, ReadsNumericDataWithHeader) {
     std::istringstream in("a,b,c\n1.5,2.5,3.5\n4,5,6\n");
@@ -203,6 +230,42 @@ TEST(Csv, TextThatIsNotWhollyANumberStillHashes) {
     EXPECT_EQ(d.at(0, 0), hash_category("1e999x"));
     EXPECT_EQ(d.at(0, 1), hash_category("infinityish"));
     EXPECT_EQ(d.at(0, 2), hash_category("nan-ish"));
+}
+
+TEST(Csv, CellsKeepStrtodsValuesCategoriesAndErrors) {
+    csv_options options;
+    options.has_header = false;
+    std::string table;
+    std::vector<std::string> cells;
+    std::vector<double> expected;
+    std::string cell;
+    for (const std::string& raw : quorum::test::number_corpus(4000)) {
+        double value = 0.0;
+        if (strtod_cell(raw, cell, value)) {
+            table += raw + ",0\n";
+            cells.push_back(raw);
+            expected.push_back(value);
+            continue;
+        }
+        std::istringstream in(raw + ",0\n");
+        try {
+            (void)read_csv(in, options);
+            ADD_FAILURE() << "accepted '" << raw << "'";
+        } catch (const quorum::util::contract_error& error) {
+            EXPECT_EQ(std::string(error.what()),
+                      "CSV line 1, column 1: '" + cell +
+                          "' is not a finite number");
+        }
+    }
+    std::istringstream in(table);
+    const dataset d = read_csv(in, options);
+    ASSERT_EQ(d.num_samples(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const double actual = d.at(i, 0);
+        ASSERT_EQ(std::memcmp(&actual, &expected[i], sizeof(double)), 0)
+            << "'" << cells[i] << "' read " << actual << ", not "
+            << expected[i];
+    }
 }
 
 TEST(Csv, FileErrorsNameThePath) {

@@ -199,7 +199,7 @@ TEST(Schedule, SpecParsingAcceptsTheGrammar) {
     const exec::schedule_spec bare = exec::parse_schedule_spec("dynamic");
     EXPECT_EQ(bare.policy, exec::schedule_policy::dynamic_spans);
     EXPECT_EQ(bare.grain, exec::default_dynamic_grain);
-    EXPECT_EQ(bare.str(), "dynamic:8");
+    EXPECT_EQ(bare.str(), "dynamic:256");
 
     const exec::schedule_spec sized =
         exec::parse_schedule_spec("dynamic:16");

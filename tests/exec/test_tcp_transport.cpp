@@ -1,24 +1,28 @@
 // TCP transport property suite: endpoint parsing, framing over real
 // sockets (partial reads, truncation at every byte boundary, oversized
-// frames), the byte-pinned framed handshake, structured connect/timeout
-// errors naming host:port, the worker's frame loop (exec::serve_channel)
-// driven in process, and the remote backend (a fleet_executor over a
-// private worker fleet) running over tcp_transport_factory against REAL
-// `quorum_worker --listen` processes with lane counts that round-robin
-// over fewer workers.
+// frames), socket I/O with and without a deadline on blocking and
+// non-blocking ends, the byte-pinned framed handshake, structured
+// connect/timeout errors naming host:port, the worker's frame loop
+// (exec::serve_channel) driven in process, and the remote backend (a
+// fleet_executor over a private worker fleet) running over
+// tcp_transport_factory against REAL `quorum_worker --listen` processes
+// with lane counts that round-robin over fewer workers.
 //
 // The in-process cases use AF_UNIX socketpairs adopted by the transport
 // (identical code path to a TCP fd), so the framing properties all run
 // under the sanitizer job without touching the network stack.
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -242,6 +246,104 @@ TEST(TcpTransport, ConnectionRefusedNamesTheEndpoint) {
         EXPECT_NE(std::strstr(error.what(), dead.str().c_str()), nullptr)
             << error.what();
     }
+}
+
+// --- socket I/O with and without a deadline ---------------------------------
+//
+// util::send_all and util::recv_all_or_eof with timeout_ms < 0 (process
+// lanes) make the I/O call first and poll only after EAGAIN. Each such
+// case runs on a blocking end, where the call itself waits, and on a
+// non-blocking one, where it meets EAGAIN and must poll. A bounded send
+// keeps its deadline on a blocking end.
+
+/// A socketpair; the first end, the one under test, optionally
+/// non-blocking.
+std::pair<util::unique_fd, util::unique_fd> socket_ends(bool nonblocking) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        throw std::runtime_error("socketpair failed");
+    }
+    if (nonblocking &&
+        ::fcntl(fds[0], F_SETFL, ::fcntl(fds[0], F_GETFL) | O_NONBLOCK) != 0) {
+        throw std::runtime_error("fcntl failed");
+    }
+    return {util::unique_fd(fds[0]), util::unique_fd(fds[1])};
+}
+
+std::vector<std::uint8_t> patterned_bytes(std::size_t size) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        bytes[i] = static_cast<std::uint8_t>(i * 31 % 251);
+    }
+    return bytes;
+}
+
+TEST(NetIo, UnboundedSendLargerThanTheSocketBufferCompletes) {
+    // 1 MiB is several socketpair buffers: the send waits on the reader
+    // thread draining the far end.
+    const std::vector<std::uint8_t> payload =
+        patterned_bytes(std::size_t{1} << 20);
+    for (const bool nonblocking : {false, true}) {
+        auto [mine, theirs] = socket_ends(nonblocking);
+        std::vector<std::uint8_t> received;
+        std::thread reader([&received, fd = theirs.get(), &payload] {
+            received = read_raw(fd, payload.size());
+        });
+        EXPECT_NO_THROW(util::send_all(mine.get(), payload.data(),
+                                       payload.size(), -1, "peer"));
+        mine.reset(); // the reader ends even if the send failed
+        reader.join();
+        EXPECT_EQ(received, payload) << "non-blocking: " << nonblocking;
+    }
+}
+
+TEST(NetIo, UnboundedReceiveAssemblesBytesArrivingInPieces) {
+    const std::vector<std::uint8_t> payload = patterned_bytes(40000);
+    for (const bool nonblocking : {false, true}) {
+        auto [mine, theirs] = socket_ends(nonblocking);
+        std::thread writer([&payload, fd = theirs.get()] {
+            for (std::size_t at = 0; at < payload.size(); at += 4000) {
+                std::this_thread::sleep_for(std::chrono::microseconds(300));
+                write_raw(fd, payload.data() + at, 4000);
+            }
+        });
+        std::vector<std::uint8_t> received(payload.size());
+        bool complete = false;
+        EXPECT_NO_THROW(complete = util::recv_all_or_eof(
+                            mine.get(), received.data(), received.size(),
+                            -1, "peer"));
+        writer.join();
+        EXPECT_TRUE(complete);
+        EXPECT_EQ(received, payload) << "non-blocking: " << nonblocking;
+
+        // A close inside a message is an error; one between messages is
+        // the clean end.
+        write_raw(theirs.get(), payload.data(), 10);
+        theirs.reset();
+        EXPECT_THROW((void)util::recv_all_or_eof(mine.get(), received.data(),
+                                                 20, -1, "peer"),
+                     util::net_error);
+        EXPECT_FALSE(util::recv_all_or_eof(mine.get(), received.data(), 1,
+                                           -1, "peer"));
+    }
+}
+
+TEST(NetIo, BoundedSendToAPeerThatStopsReadingTimesOut) {
+    // The payload overfills the socket buffer of a blocking end: the
+    // deadline must hold inside the payload, not only between calls.
+    const std::vector<std::uint8_t> payload =
+        patterned_bytes(std::size_t{1} << 20);
+    auto [mine, theirs] = socket_ends(false);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        util::send_all(mine.get(), payload.data(), payload.size(), 100,
+                       "silent-peer");
+        FAIL() << "a peer that never reads took 1 MiB";
+    } catch (const util::net_error& error) {
+        EXPECT_STREQ(error.what(), "silent-peer: send timed out");
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(30));
 }
 
 // --- byte-pinned handshake over the framed channel --------------------------

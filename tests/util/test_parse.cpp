@@ -2,18 +2,62 @@
 // regression of record is CLI flags silently mis-parsing via std::atoi
 // ("--retry banana" → 0 retries, "--workers -1" → 2^64 - 1 workers);
 // these tests pin the strict behaviour for garbage, negatives, overflow
-// and trailing junk.
+// and trailing junk. The real parsers (parse_real, and the QSRV1
+// protocol's exec::serve_parse_double built on it) read plain decimals
+// through from_chars_finite; strtod-only copies of both, as they read
+// before that fast path, pin their grammar and bits over a corpus.
 #include "util/parse.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
+
+#include "../number_corpus.h"
+#include "exec/serve_client.h"
 
 namespace {
 
 using namespace quorum;
+
+/// parse_real with strtod alone: the reference for the fast path.
+bool strtod_parse_real(std::string_view text, double& out) {
+    const std::string copy(text);
+    char* end = nullptr;
+    const double value = std::strtod(copy.c_str(), &end);
+    if (copy.empty() || std::isspace(static_cast<unsigned char>(copy[0])) ||
+        *end != '\0' || !std::isfinite(value)) {
+        return false;
+    }
+    out = value;
+    return true;
+}
+
+/// exec::serve_parse_double with strtod alone (which skips leading
+/// whitespace): the reference for the fast path.
+bool strtod_serve_parse_double(const std::string& text, double& value) {
+    if (text.empty()) {
+        return false;
+    }
+    char* end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || !std::isfinite(parsed)) {
+        return false;
+    }
+    value = parsed;
+    return true;
+}
+
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 TEST(Parse, UnsignedAcceptsPlainDigits) {
     unsigned long long value = 99;
@@ -86,6 +130,52 @@ TEST(Parse, RealRejectsNonFiniteAndLeadingWhitespace) {
     EXPECT_EQ(value, 0.25) << "failed parses must not clobber the output";
     EXPECT_TRUE(util::parse_real("1e308", value));
     EXPECT_DOUBLE_EQ(value, 1e308);
+}
+
+TEST(Parse, FromCharsFiniteTakesPlainDecimalsOnly) {
+    for (const char* plain : {"-1.5", ".5", "5.", "2e-3", "1E5", "3e-324",
+                              "1.7976931348623157e308"}) {
+        const std::optional<double> value = util::from_chars_finite(plain);
+        ASSERT_TRUE(value.has_value()) << plain;
+        EXPECT_TRUE(same_bits(*value, std::strtod(plain, nullptr))) << plain;
+    }
+    EXPECT_TRUE(std::signbit(util::from_chars_finite("-0").value_or(1.0)));
+    // Left to strtod: its wider grammar, its error cases, and trailing
+    // text, an embedded NUL included.
+    for (const char* declined : {"", "+1.5", " 1.5", "1.5 ", "0x1p3", "inf",
+                                 "-Infinity", "nan", "1e400", "1e-400", "1e",
+                                 "1.5abc"}) {
+        EXPECT_FALSE(util::from_chars_finite(declined)) << declined;
+    }
+    EXPECT_FALSE(util::from_chars_finite(std::string_view("1.5\0x", 5)));
+}
+
+TEST(Parse, RealAndServeParseKeepStrtodsDecisionsAndBits) {
+    for (const std::string& text : test::number_corpus(4000)) {
+        double expected = 0.0;
+        double actual = 0.0;
+        const bool accepted = strtod_parse_real(text, expected);
+        ASSERT_EQ(util::parse_real(text, actual), accepted)
+            << '"' << text << '"';
+        if (accepted) {
+            ASSERT_TRUE(same_bits(actual, expected)) << '"' << text << '"';
+        }
+        const bool served = strtod_serve_parse_double(text, expected);
+        ASSERT_EQ(exec::serve_parse_double(text, actual), served)
+            << '"' << text << '"';
+        if (served) {
+            ASSERT_TRUE(same_bits(actual, expected)) << '"' << text << '"';
+        }
+    }
+}
+
+TEST(Parse, TextAfterAnEmbeddedNulIsTrailingGarbage) {
+    // strtod stops at the NUL; the whole text still has to be a number.
+    double value = 0.25;
+    const std::string_view text("1.5\0abc", 7);
+    EXPECT_FALSE(util::parse_real(text, value));
+    EXPECT_FALSE(exec::serve_parse_double(text, value));
+    EXPECT_EQ(value, 0.25);
 }
 
 TEST(Parse, IntAcceptsNegativesButNotGarbage) {

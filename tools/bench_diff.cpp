@@ -6,7 +6,11 @@
 // Understands both artifact shapes the CI produces:
 //   * google-benchmark --benchmark_out JSON: every entry in "benchmarks"
 //     is one metric — items_per_second when present (higher is better),
-//     real_time otherwise (lower is better);
+//     real_time otherwise (lower is better). With repetitions, only the
+//     "median" aggregate counts, named by its run_name, so it matches
+//     the plain row of a baseline run without repetitions; the other
+//     aggregates (mean, stddev, cv) and the repetitions' own rows are
+//     skipped;
 //   * the flat bench_serve_throughput object: every top-level
 //     "*_per_second" number (higher is better).
 //
@@ -252,12 +256,23 @@ std::vector<metric> extract_metrics(const json_value& root) {
         benches != nullptr && benches->type == json_value::kind::array) {
         for (const json_value& entry : benches->array) {
             const json_value* name = entry.find("name");
-            if (name == nullptr ||
-                name->type != json_value::kind::string) {
+            // With repetitions a benchmark counts once, by its median,
+            // which one slow repetition cannot move.
+            if (const json_value* aggregate = entry.find("aggregate_name");
+                aggregate != nullptr) {
+                if (aggregate->type != json_value::kind::string ||
+                    aggregate->text != "median") {
+                    continue;
+                }
+                name = entry.find("run_name");
+            } else if (const json_value* reps = entry.find("repetitions");
+                       reps != nullptr &&
+                       reps->type == json_value::kind::number &&
+                       reps->number > 1.0) {
                 continue;
             }
-            // Aggregate rows (mean/median/stddev) would double-count.
-            if (entry.find("aggregate_name") != nullptr) {
+            if (name == nullptr ||
+                name->type != json_value::kind::string) {
                 continue;
             }
             if (const json_value* items = entry.find("items_per_second");
@@ -421,6 +436,31 @@ int self_test() {
         R"({"bench":"stream_latency","samples_per_second":990.0,)"
         R"("gated_latency_us":{"p50":1900.0},)"
         R"("latency_us":{"mean":1950.0,"p99":4000.0}})";
+    // --benchmark_repetitions=5: a repetition's own row, then the
+    // aggregates. Only the median may count.
+    const auto repeated = [](const std::string& median,
+                             const std::string& mean) {
+        const auto row = [](const std::string& fields,
+                            const std::string& items) {
+            return R"({"run_name":"bm_batch/7","repetitions":5,)" + fields +
+                   R"(,"items_per_second":)" + items + "}";
+        };
+        return R"({"benchmarks":[)" +
+               row(R"("name":"bm_batch/7","run_type":"iteration")", mean) +
+               "," +
+               row(R"("name":"bm_batch/7_mean","run_type":"aggregate",)"
+                   R"("aggregate_name":"mean")",
+                   mean) +
+               "," +
+               row(R"("name":"bm_batch/7_median","run_type":"aggregate",)"
+                   R"("aggregate_name":"median")",
+                   median) +
+               "," +
+               row(R"("name":"bm_batch/7_stddev","run_type":"aggregate",)"
+                   R"("aggregate_name":"stddev")",
+                   "1.0") +
+               "]}";
+    };
 
     int failures = 0;
     const auto expect = [&failures](bool condition, const char* what) {
@@ -448,6 +488,17 @@ int self_test() {
     expect(diff_metrics(metrics_from_text(stream_base),
                         metrics_from_text(stream_slow), 0.20, false) == 1,
            "a doubled gated p50 latency must fail the gate");
+    expect(diff_metrics(metrics_from_text(baseline),
+                        metrics_from_text(repeated("600.0", "990.0")), 0.20,
+                        false) == 1,
+           "a 40%% median regression must fail against a plain baseline");
+    expect(diff_metrics(metrics_from_text(repeated("1000.0", "1000.0")),
+                        metrics_from_text(repeated("990.0", "600.0")), 0.20,
+                        false) == 0,
+           "a regressed mean with a steady median must pass");
+    expect(metrics_from_text(repeated("1000.0", "1000.0")).size() == 1,
+           "only the median may count, not a repetition or another "
+           "aggregate");
     if (failures == 0) {
         std::printf("bench_diff --self-test: all checks passed (the gate "
                     "fails on injected regressions)\n");

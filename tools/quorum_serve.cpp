@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,14 +94,15 @@ void spawn_registry_worker(const std::string& binary,
 std::string parse_feature_row(const std::string& line, std::size_t cols,
                               std::vector<double>& row) {
     row.clear();
+    const std::string_view text(line);
     std::size_t begin = 0;
-    while (begin <= line.size()) {
-        std::size_t end = line.find(',', begin);
-        if (end == std::string::npos) {
-            end = line.size();
+    while (begin <= text.size()) {
+        std::size_t end = text.find(',', begin);
+        if (end == std::string_view::npos) {
+            end = text.size();
         }
         double value = 0.0;
-        if (!exec::serve_parse_double(line.substr(begin, end - begin),
+        if (!exec::serve_parse_double(text.substr(begin, end - begin),
                                       value)) {
             return "column " + std::to_string(row.size()) +
                    " is not a finite number";
