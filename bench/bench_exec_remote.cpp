@@ -1,20 +1,17 @@
 // Remote-execution microbenchmarks (google-benchmark): what moving a
-// span out of the process costs. Three granularities on the Fig. 8
+// span out of the process costs. Two granularities on the Fig. 8
 // flagship workload (sampled mode, 4096 shots, paper-default circuits):
 //
 //   bm_remote_run_batch    — one whole-dataset batch per run_batch call
 //                            dispatched to 1/2/4 quorum_worker processes
 //                            (serialise + pipe + decode + recompile on
 //                            the worker, once per span per batch);
-//   bm_sharded_run_batch   — the same batch through the IN-PROCESS
-//                            sharded backend, the baseline the remote
-//                            dispatch overhead is measured against;
 //   bm_remote_ensemble_group — a full core ensemble group through
 //                            remote workers (one batch of all rows per
 //                            group: the dispatch overhead at the
 //                            detector's real batch size).
 //
-// Scores are bit-identical across all arms and worker counts (enforced
+// Scores are bit-identical for any worker count (enforced
 // by tests/exec/test_remote_backend.cpp and the golden fixtures); this
 // bench quantifies what that invariance costs over a process boundary.
 // CI persists the JSON as a BENCH_exec_remote artifact.
@@ -100,8 +97,7 @@ void run_batch_arm(benchmark::State& state, const char* backend) {
         for (const exec::program& program : programs) {
             // Streams are single-use per batch (exec::sample contract):
             // re-derive them per run_batch call, as the ensemble loop
-            // does, so the remote and sharded arms draw identical
-            // sequences.
+            // does, so every worker count draws identical sequences.
             for (std::size_t i = 0; i < gens.size(); ++i) {
                 gens[i] = util::rng(util::derive_seed(7, i));
             }
@@ -121,12 +117,6 @@ void bm_remote_run_batch(benchmark::State& state) {
     run_batch_arm(state, "remote:statevector");
 }
 BENCHMARK(bm_remote_run_batch)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void bm_sharded_run_batch(benchmark::State& state) {
-    run_batch_arm(state, "sharded:statevector");
-}
-BENCHMARK(bm_sharded_run_batch)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// One full ensemble group through core: the remote dispatch overhead is

@@ -66,9 +66,7 @@ qnn_classifier::qnn_classifier(qnn_config config)
     circuit_program_.circuit = qsim::compiled_program::compile(c, options);
     circuit_program_.readout.kind = exec::readout_kind::z_probability;
     circuit_program_.readout.qubits = {0};
-    exec::engine_config engine_config;
-    engine_config.shards = config_.shards;
-    engine_ = exec::make_executor(config_.backend, engine_config);
+    engine_ = exec::make_executor(config_.backend, exec::engine_config{});
 }
 
 std::vector<double>

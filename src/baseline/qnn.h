@@ -39,10 +39,7 @@ struct qnn_config {
     double positive_class_weight = 1.0;
     std::uint64_t seed = 7;
     /// Execution backend spec (exec registry) evaluating the circuits.
-    /// "sharded:statevector" parallelises predict_proba across shards.
     std::string backend = "statevector";
-    /// Shards for a sharded backend spec (0 = one per hardware thread).
-    std::size_t shards = 0;
 };
 
 /// Supervised parameterised-circuit classifier.

@@ -53,9 +53,7 @@ trained_qae::trained_qae(trained_qae_config config)
         encoder_program_.readout.qubits.push_back(
             static_cast<qsim::qubit_t>(config_.n_qubits - 1 - k));
     }
-    exec::engine_config engine_config;
-    engine_config.shards = config_.shards;
-    engine_ = exec::make_executor(config_.backend, engine_config);
+    engine_ = exec::make_executor(config_.backend, exec::engine_config{});
 }
 
 double trained_qae::trash_population(std::span<const double> amplitudes,

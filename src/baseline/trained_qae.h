@@ -40,10 +40,7 @@ struct trained_qae_config {
     std::uint64_t seed = 13;
     /// Execution backend spec (exec registry) evaluating the encoder
     /// circuits — exact probabilities, shared with Quorum's engine layer.
-    /// "sharded:statevector" parallelises score_all across shards.
     std::string backend = "statevector";
-    /// Shards for a sharded backend spec (0 = one per hardware thread).
-    std::size_t shards = 0;
 };
 
 /// Unsupervised, gradient-trained quantum autoencoder anomaly scorer.

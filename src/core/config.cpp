@@ -58,9 +58,6 @@ std::string quorum_config::resolved_backend() const {
     if (backend == "auto") {
         return by_mode;
     }
-    if (backend == "sharded" || backend == "sharded:auto") {
-        return "sharded:" + by_mode;
-    }
     if (backend == "remote" || backend == "remote:auto") {
         return "remote:" + by_mode;
     }
@@ -127,7 +124,7 @@ void quorum_config::validate() const {
                            "compression levels must be in [1, n_qubits)");
     }
     // Instantiating the backend surfaces unknown names, malformed
-    // "sharded:<inner>" spec strings, AND incompatible mode/backend
+    // "remote:<inner>" spec strings, AND incompatible mode/backend
     // combinations (e.g. per_shot on the density engine) here, at
     // validation time, instead of mid-scoring in a worker thread.
     (void)exec::make_executor(resolved_backend(), to_engine_config());

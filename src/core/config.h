@@ -96,20 +96,22 @@ struct quorum_config {
     double estimated_anomaly_rate = 0.03;
     /// Execution mode (see exec_mode).
     exec_mode mode = exec_mode::exact;
-    /// Worker threads for the ensemble loop; 0 = all hardware threads.
-    /// Results are identical for any thread count.
+    /// Threads for the ensemble loop; 0 = all hardware threads. They go
+    /// to groups first; when there are fewer groups than threads, each
+    /// group's rows are split into floor(threads / groups) contiguous
+    /// ranges that run concurrently. Results are identical for any
+    /// thread count.
     std::size_t threads = 0;
-    /// Lanes for the wrapper execution backends: the "sharded" backend
-    /// partitions every run_batch across this many in-process shards, the
-    /// "remote" backend across this many quorum_worker processes (0 = one
-    /// per hardware thread). Ignored by plain backends. Results are
-    /// identical for any lane count.
+    /// quorum_worker processes the "remote" backend spreads every batch
+    /// across (0 = one per hardware thread). Ignored by plain backends.
+    /// Results are identical for any worker count.
     std::size_t shards = 0;
-    /// Span-planning policy for the wrapper backends: "static" (one
-    /// balanced span per lane) or "dynamic[:grain]" (grain-sample spans
-    /// the lanes pull from a shared queue — absorbs skew; see
-    /// exec/schedule.h). Results are identical for any policy and grain;
-    /// malformed specs fail validation at construction time.
+    /// Span-planning policy for the remote backend and quorum_serve's
+    /// fleet: "static" (one balanced span per worker) or
+    /// "dynamic[:grain]" (grain-sample spans the workers pull as they
+    /// free up; see exec/schedule.h). Results are identical for any
+    /// policy and grain; malformed specs fail validation at construction
+    /// time.
     std::string schedule = "static";
     /// Master seed; every ensemble group derives child stream g.
     std::uint64_t seed = 2025;
@@ -134,11 +136,9 @@ struct quorum_config {
     qsim::noise_model noise = qsim::noise_model::ibm_brisbane_median();
     /// Execution backend spec (exec/registry.h). "auto" picks the density
     /// engine for noisy mode and the state-vector engine otherwise;
-    /// "sharded" / "sharded:auto" wraps that same choice in the
-    /// in-process sharded engine and "remote" / "remote:auto" in the
-    /// multi-process remote engine; "sharded:<name>" / "remote:<name>"
-    /// wrap a specific backend; anything else must be a registered
-    /// backend name.
+    /// "remote" / "remote:auto" runs that same choice in quorum_worker
+    /// processes and "remote:<name>" a specific backend; anything else
+    /// must be a registered backend name.
     std::string backend = "auto";
 
     /// The compression levels actually run: configured ones, or 1..n-1.

@@ -15,6 +15,7 @@
 #include "util/contracts.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace quorum::core {
 
@@ -47,23 +48,25 @@ make_level_program(const qml::ansatz_params& params, std::size_t level,
 
 namespace {
 
-/// Evaluates every row of `normalized` through the group's program
-/// family, in row order, writing p_values[i * family.size() + k] = P(1)
-/// of row i at level k. Each call to the engine covers up to
+/// Evaluates rows [begin, end) of `normalized` through the group's
+/// program family, in row order, writing p_values[i * family.size() + k]
+/// = P(1) of row i at level k. Each call to the engine covers up to
 /// ensemble_chunk_rows rows: one run_batch_levels call, or one run_batch
 /// per level when config.fused_levels is off. No engine's per-sample
 /// result depends on the batch it arrives in, and row i at level k
-/// always draws from gen.child(k * n + i), so the chunking never shows
-/// in the values.
-void evaluate_rows(const data::dataset& normalized,
-                   std::span<const std::size_t> features,
-                   std::span<const exec::program> family,
-                   const quorum_config& config, const util::rng& gen,
-                   const exec::executor& engine, std::span<double> p_values) {
+/// always draws from gen.child(k * n + i), with n and i counted over the
+/// whole table, so neither the chunking nor the range shows in the
+/// values.
+void evaluate_range(const data::dataset& normalized,
+                    std::span<const std::size_t> features,
+                    std::span<const exec::program> family,
+                    const quorum_config& config, const util::rng& gen,
+                    const exec::executor& engine, std::size_t begin,
+                    std::size_t end, std::span<double> p_values) {
     const std::size_t n_samples = normalized.num_samples();
     const std::size_t level_count = family.size();
     const std::size_t dim = std::size_t{1} << config.n_qubits;
-    const std::size_t chunk = std::min(n_samples, ensemble_chunk_rows);
+    const std::size_t chunk = std::min(end - begin, ensemble_chunk_rows);
     const bool stochastic = config.mode != exec_mode::exact;
 
     // Per-call scratch, sized for one chunk and reused across chunks:
@@ -93,8 +96,8 @@ void evaluate_rows(const data::dataset& normalized,
     }
     std::vector<double> level_out(config.fused_levels ? 0 : chunk);
 
-    for (std::size_t first = 0; first < n_samples; first += chunk) {
-        const std::size_t count = std::min(chunk, n_samples - first);
+    for (std::size_t first = begin; first < end; first += chunk) {
+        const std::size_t count = std::min(chunk, end - first);
         const std::span<const exec::sample> rows(batch.data(), count);
         // Encode each sample once; amplitudes are level-independent.
         for (std::size_t k = 0; k < count; ++k) {
@@ -147,7 +150,8 @@ void evaluate_rows(const data::dataset& normalized,
 group_result run_ensemble_group(const data::dataset& normalized,
                                 const quorum_config& config,
                                 std::size_t group_index,
-                                const exec::executor& engine) {
+                                const exec::executor& engine,
+                                std::size_t lanes) {
     const std::size_t n_samples = normalized.num_samples();
     const std::size_t n_features = normalized.num_features();
     QUORUM_EXPECTS(n_samples >= 2);
@@ -224,8 +228,14 @@ group_result run_ensemble_group(const data::dataset& normalized,
     // p_values[i * level_count + k] = P(1) of sample i at level k
     // (sample-major, the layout run_batch_levels writes).
     std::vector<double> p_values(n_samples * level_count, 0.0);
-    evaluate_rows(normalized, features, family, config, gen, engine,
-                  p_values);
+    // `lanes` contiguous row ranges, balanced to within one row, run
+    // concurrently; each writes only its own rows of p_values.
+    const std::size_t ranges = std::clamp<std::size_t>(lanes, 1, n_samples);
+    util::parallel_for(ranges, ranges, [&](std::size_t r) {
+        evaluate_range(normalized, features, family, config, gen, engine,
+                       r * n_samples / ranges, (r + 1) * n_samples / ranges,
+                       p_values);
+    });
 
     // Per-bucket statistics -> |z| accumulation (Fig. 7), in level-major
     // order (identical accumulation order for both evaluation paths).

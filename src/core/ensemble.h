@@ -55,16 +55,19 @@ struct group_result {
 /// compression level (the group's program family), submitted as one
 /// fused run_batch_levels call per ensemble_chunk_rows rows — or one
 /// run_batch per level and chunk when config.fused_levels is off; scores
-/// are identical either way. Buckets only group the resulting p-values
-/// for the per-(bucket, level) z-scores. Backends are thread-safe, so the detector builds one
-/// engine per score() call and shares it across all group workers —
-/// which also means a sharded engine creates its shard pool once, not
-/// once per group. Deterministic: depends only on
-/// (config.seed, group_index, data).
+/// are identical either way. `lanes` > 1 splits the rows into
+/// min(lanes, rows) contiguous ranges evaluated concurrently, each
+/// through the same chunk loop; quorum_detector::score sets it when a
+/// table has fewer groups than threads. Buckets only group the resulting
+/// p-values for the per-(bucket, level) z-scores. Backends are
+/// thread-safe, so the detector builds one engine per score() call and
+/// shares it across all groups and ranges. Deterministic: depends only
+/// on (config.seed, group_index, data), never on `lanes`.
 [[nodiscard]] group_result run_ensemble_group(const data::dataset& normalized,
                                               const quorum_config& config,
                                               std::size_t group_index,
-                                              const exec::executor& engine);
+                                              const exec::executor& engine,
+                                              std::size_t lanes = 1);
 
 /// Convenience overload that instantiates config's backend itself (one
 /// engine per call — fine for single-group studies and benches).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "data/preprocess.h"
@@ -17,11 +16,6 @@ namespace quorum::core {
 quorum_detector::quorum_detector(quorum_config config)
     : config_(std::move(config)) {
     config_.validate();
-}
-
-void quorum_detector::set_progress_callback(
-    std::function<void(std::size_t, std::size_t)> callback) {
-    progress_ = std::move(callback);
 }
 
 score_report quorum_detector::score(const data::dataset& input) const {
@@ -39,44 +33,24 @@ score_report quorum_detector::score(const data::dataset& input) const {
             ? data::normalize_unit_range(input.without_labels())
             : data::normalize_for_quorum(input.without_labels());
 
-    std::vector<group_result> groups(config_.ensemble_groups);
-    // parallel_for has one task per group, so more lanes than groups would
-    // only start idle threads.
-    const std::size_t thread_count = std::min(
-        config_.threads == 0 ? util::default_thread_count() : config_.threads,
-        config_.ensemble_groups);
+    // --threads is spent here only: across groups, and across each
+    // group's rows when there are fewer groups than threads, so at most
+    // min(threads, groups * rows) lanes run at once.
+    const std::size_t threads =
+        config_.threads == 0 ? util::default_thread_count() : config_.threads;
+    const std::size_t row_lanes =
+        std::max<std::size_t>(1, threads / config_.ensemble_groups);
 
-    // One engine for the whole run, shared by every group worker (backends
-    // are thread-safe); a sharded engine thus builds its shard pool once.
+    // One engine for the whole run, shared by every group and row range
+    // (backends are thread-safe).
     const std::unique_ptr<exec::executor> engine = exec::make_executor(
         config_.resolved_backend(), config_.to_engine_config());
 
-    // Progress delivery is SERIALIZED: the completion count is advanced
-    // and the callback invoked under one mutex, so user callbacks never
-    // run concurrently and `done` arrives strictly increasing even when
-    // several workers finish at once (the guarantee core/quorum.h
-    // documents).
-    std::mutex progress_mutex;
-    std::size_t completed = 0;
-    const auto run_group = [&](std::size_t g) {
-        groups[g] = run_ensemble_group(normalized, config_, g, *engine);
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        ++completed;
-        if (progress_) {
-            progress_(completed, config_.ensemble_groups);
-        }
-    };
-
-    if (thread_count <= 1) {
-        for (std::size_t g = 0; g < config_.ensemble_groups; ++g) {
-            run_group(g);
-        }
-    } else {
-        // parallel_for's caller participates in the work loop, so
-        // thread_count - 1 workers give exactly thread_count lanes.
-        util::thread_pool pool(thread_count - 1);
-        pool.parallel_for(config_.ensemble_groups, run_group);
-    }
+    std::vector<group_result> groups(config_.ensemble_groups);
+    util::parallel_for(config_.ensemble_groups, threads, [&](std::size_t g) {
+        groups[g] =
+            run_ensemble_group(normalized, config_, g, *engine, row_lanes);
+    });
     return aggregate_groups(groups);
 }
 

@@ -12,8 +12,6 @@
 #ifndef QUORUM_CORE_QUORUM_H
 #define QUORUM_CORE_QUORUM_H
 
-#include <functional>
-
 #include "core/anomaly_score.h"
 #include "core/config.h"
 #include "data/dataset.h"
@@ -31,16 +29,6 @@ public:
         return config_;
     }
 
-    /// Optional progress hook: called after each ensemble group completes
-    /// with (completed_groups, total_groups). Invocations are SERIALIZED
-    /// by the detector (an internal mutex), so the callback never runs
-    /// concurrently with itself and `completed_groups` arrives strictly
-    /// increasing — a plain CLI printer needs no locking of its own. The
-    /// callback still runs on worker threads, so it must not assume the
-    /// caller's thread and should stay short (it blocks group completion).
-    void set_progress_callback(
-        std::function<void(std::size_t, std::size_t)> callback);
-
     /// Scores every sample (higher = more anomalous). Labels, if present,
     /// are stripped before any computation. Deterministic in
     /// (config.seed, data) for any thread count.
@@ -56,7 +44,6 @@ public:
 
 private:
     quorum_config config_;
-    std::function<void(std::size_t, std::size_t)> progress_;
 };
 
 } // namespace quorum::core

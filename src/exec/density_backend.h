@@ -3,10 +3,10 @@
 // executor interface. Batched runs lower the shared circuit suffix once
 // per run_batch call and the per-sample state-prep once per sample
 // (reused across prep slots), so only the cheap peephole pass and the
-// density evolution itself remain per-sample. Wrap in "sharded:density"
-// to spread the per-sample evolutions across shards (each shard span then
-// lowers the suffix once — negligible next to the evolutions it
-// amortises against).
+// density evolution itself remain per-sample. A table with fewer groups
+// than threads spreads each group's per-sample evolutions across row
+// ranges (core::run_ensemble_group); each range's calls then lower the
+// suffix once — negligible next to the evolutions it amortises against.
 #ifndef QUORUM_EXEC_DENSITY_BACKEND_H
 #define QUORUM_EXEC_DENSITY_BACKEND_H
 

@@ -3,7 +3,7 @@
 // Everything above qsim (the ensemble loop, the CLI, the trained
 // baselines) evaluates circuits through this interface instead of calling
 // a simulator directly. A backend wraps one engine (state-vector exact /
-// per-shot, density-matrix noisy, future: sharded, GPU, remote) behind two
+// per-shot, density-matrix noisy, remote worker processes) behind two
 // entry points:
 //
 //   run(circuit)          — one complete circuit, one readout;
@@ -52,11 +52,12 @@ struct engine_config {
     std::size_t shots = 0;
     /// Noise model for the density backend (ignored elsewhere).
     qsim::noise_model noise = qsim::noise_model::ideal();
-    /// Worker shards the "sharded" backend partitions run_batch across
-    /// (0 = one per hardware thread; ignored by non-sharded backends).
+    /// quorum_worker processes the "remote" backend partitions every
+    /// batch across (0 = one per hardware thread; ignored by the other
+    /// backends).
     std::size_t shards = 0;
-    /// Span-planning policy for the wrapper backends (sharded / remote /
-    /// fleet). Like `shards`, this is coordinator-side only: it shapes
+    /// Span-planning policy for the worker fleet (the remote backend and
+    /// quorum_serve). Like `shards`, this is coordinator-side only: it shapes
     /// the plan, never the per-span work, so it does NOT travel on the
     /// wire (encode_engine_config) and cannot change scores — see
     /// exec/schedule.h for the determinism argument.
@@ -260,11 +261,11 @@ protected:
     executor() = default;
 };
 
-/// Resolves a wrapper backend's configured lane count (engine_config::
+/// Resolves the remote backend's configured worker count (engine_config::
 /// shards): 0 means one lane per hardware thread, anything beyond
-/// `max_lanes` is clamped. Shared by the sharded backend, the remote
-/// backend and the CLI banner so the reported lane count can never
-/// drift from the one actually used.
+/// `max_lanes` is clamped. Shared by the remote backend and the CLI
+/// banner so the reported lane count can never drift from the one
+/// actually used.
 [[nodiscard]] std::size_t resolve_lane_count(std::size_t configured,
                                              std::size_t max_lanes) noexcept;
 

@@ -436,8 +436,8 @@ void fleet_executor::dispatch(std::span<const std::uint8_t> blob,
                               std::size_t levels,
                               std::span<double> out) const {
     worker_fleet& fleet = started_fleet();
-    // Keyed by sample index only, exactly like the sharded plans, so
-    // scores are invariant to the fleet size and the schedule.
+    // Keyed by sample index only, so scores are invariant to the fleet
+    // size and the schedule.
     const std::vector<shard_work> plan = planner_.plan(
         samples.size(), std::max<std::size_t>(worker_count(), 1));
     std::vector<std::vector<std::uint8_t>> requests;

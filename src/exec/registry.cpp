@@ -7,7 +7,6 @@
 #include "exec/density_backend.h"
 #include "exec/fleet.h"
 #include "exec/process_transport.h"
-#include "exec/sharded_backend.h"
 #include "exec/statevector_backend.h"
 #include "util/contracts.h"
 
@@ -44,10 +43,6 @@ void ensure_builtins() {
         register_backend("density", [](const engine_config& config) {
             return std::unique_ptr<executor>(new density_backend(config));
         });
-        register_backend("sharded", [](const engine_config& config) {
-            return std::unique_ptr<executor>(
-                new sharded_backend(config, "statevector"));
-        });
         register_backend("remote", [](const engine_config& config) {
             return make_remote(config, "statevector");
         });
@@ -62,7 +57,7 @@ bool register_backend(std::string name, backend_factory factory) {
     QUORUM_EXPECTS_MSG(!name.empty(), "backend name must be non-empty");
     QUORUM_EXPECTS_MSG(name.find(':') == std::string::npos,
                        "backend names must be plain (':' is reserved for "
-                       "composite specs like sharded:statevector)");
+                       "composite specs like remote:statevector)");
     QUORUM_EXPECTS_MSG(static_cast<bool>(factory),
                        "backend factory must be callable");
     registry_state& state = registry();
@@ -74,7 +69,7 @@ bool register_backend(std::string name, backend_factory factory) {
 
 bool is_plain_engine_name(std::string_view name) noexcept {
     return !name.empty() && name.find(':') == std::string_view::npos &&
-           name != "sharded" && name != "remote" && name != "fleet";
+           name != "remote" && name != "fleet";
 }
 
 backend_spec parse_backend_spec(std::string_view spec) {
@@ -89,11 +84,9 @@ backend_spec parse_backend_spec(std::string_view spec) {
     QUORUM_EXPECTS_MSG(!parsed.name.empty(),
                        "backend spec must start with a backend name");
     if (colon != std::string_view::npos) {
-        QUORUM_EXPECTS_MSG(parsed.name == "sharded" ||
-                               parsed.name == "remote",
-                           "only the 'sharded' and 'remote' backends take "
-                           "an ':inner' spec (got '" + std::string(spec) +
-                               "')");
+        QUORUM_EXPECTS_MSG(parsed.name == "remote",
+                           "only the 'remote' backend takes an ':inner' "
+                           "spec (got '" + std::string(spec) + "')");
         QUORUM_EXPECTS_MSG(!parsed.inner.empty(),
                            "'" + parsed.name + ":' needs an inner backend "
                            "name (e.g. " + parsed.name + ":statevector)");
@@ -138,14 +131,10 @@ std::unique_ptr<executor> make_executor(std::string_view spec,
     ensure_builtins();
     const backend_spec parsed = parse_backend_spec(spec);
     if (!parsed.inner.empty()) {
-        // Composite specs: the wrapper engine wraps the inner backend (the
-        // inner name is resolved through this registry, so unknown inners
-        // throw the same known-names error as unknown base names).
-        if (parsed.name == "remote") {
-            return make_remote(config, parsed.inner);
-        }
-        return std::unique_ptr<executor>(
-            new sharded_backend(config, parsed.inner));
+        // remote:<inner>: the fleet resolves the inner name through this
+        // registry, so an unknown inner throws the same known-names error
+        // as an unknown base name.
+        return make_remote(config, parsed.inner);
     }
     backend_factory factory;
     {

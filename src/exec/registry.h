@@ -1,5 +1,5 @@
 // Backend registry/factory: execution engines are looked up by name so
-// new backends (sharded, GPU, remote, ...) plug in without touching core.
+// new backends (GPU, remote, ...) plug in without touching core.
 // The built-in "statevector" and "density" backends register themselves on
 // first use; external code may add more via register_backend.
 #ifndef QUORUM_EXEC_REGISTRY_H
@@ -25,26 +25,25 @@ using backend_factory =
 bool register_backend(std::string name, backend_factory factory);
 
 /// A parsed backend spec. Specs are either a plain registered name
-/// ("statevector") or a composite "sharded:<inner>" / "remote:<inner>"
-/// pair, where <inner> is any plain registered name the wrapper backend
-/// runs its lanes (in-process shards / worker processes) on.
+/// ("statevector") or a composite "remote:<inner>" pair, where <inner> is
+/// any plain registered name the remote backend's worker processes run.
 struct backend_spec {
     std::string name;  ///< base backend name
     std::string inner; ///< inner backend of a composite spec; else empty
 };
 
 /// Splits a spec string into (name, inner) and validates its shape:
-/// non-empty parts, at most one ':', and only "sharded" and "remote" may
-/// carry an inner. Throws util::contract_error on malformed specs. Does
+/// non-empty parts, at most one ':', and only "remote" may carry an
+/// inner. Throws util::contract_error on malformed specs. Does
 /// NOT check registration — make_executor does.
 [[nodiscard]] backend_spec parse_backend_spec(std::string_view spec);
 
-/// True when `name` can name the engine a wrapper runs its lanes on: non-
-/// empty, without ':', and none of the wrappers "sharded", "remote" and
-/// "fleet" (quorum_serve's shared worker fleet), which distribute batches
+/// True when `name` can name the engine a worker runs: non-empty,
+/// without ':', and neither of the wrappers "remote" and "fleet"
+/// (quorum_serve's shared worker fleet), which distribute batches
 /// themselves and so cannot nest. Every place that takes an inner engine
-/// name checks it with this: composite specs, the sharded backend, the
-/// worker fleet, a worker's hello and quorum_serve --backend.
+/// name checks it with this: composite specs, the worker fleet, a
+/// worker's hello and quorum_serve --backend.
 [[nodiscard]] bool is_plain_engine_name(std::string_view name) noexcept;
 
 /// True when `spec` is well-formed and every name in it is registered.
@@ -53,14 +52,12 @@ struct backend_spec {
 /// All registered backend names, sorted.
 [[nodiscard]] std::vector<std::string> backend_names();
 
-/// Instantiates the backend a spec describes ("sharded:<inner>" wraps the
-/// inner backend in the in-process sharded engine, "remote:<inner>" in
-/// the multi-process remote engine; bare "sharded"/"remote" wrap
+/// Instantiates the backend a spec describes ("remote:<inner>" runs the
+/// inner backend in the multi-process remote engine; bare "remote" wraps
 /// "statevector"). Throws util::contract_error (listing the known names)
 /// when a name is not registered or the spec is malformed. Note:
-/// composite specs are always served by the built-in wrapper engines —
-/// re-registering a factory under "sharded"/"remote" affects only the
-/// plain name, not "<name>:<inner>" resolution.
+/// "remote:<inner>" is always served by the built-in remote engine —
+/// re-registering a factory under "remote" affects only the plain name.
 [[nodiscard]] std::unique_ptr<executor>
 make_executor(std::string_view spec, const engine_config& config);
 

@@ -1,20 +1,17 @@
 // Span planning and dispatch policy — the ONE place batches are cut into
-// per-lane work spans. The sharded backend (in-process threads) and the
-// worker fleet (worker processes: the remote backend and quorum_serve)
-// both plan through span_planner instead of carrying private copies of
-// the partitioning logic.
+// per-lane work spans. The worker fleet (worker processes: the remote
+// backend and quorum_serve) plans through span_planner.
 //
 // Two policies:
 //
-//   static          — the even-span plan the backends have used since
-//                     PR 3: min(lanes, n) contiguous spans balanced to
-//                     within one sample, one span per lane.
+//   static          — the even-span plan: min(lanes, n) contiguous
+//                     spans balanced to within one sample, one span per
+//                     lane.
 //   dynamic:<grain> — many small spans of ~`grain` samples each, handed
 //                     out in plan order to whichever lane is free (the
-//                     thread pool's parallel_for claim counter, or the
-//                     fleet sending the next span on each lane it
-//                     frees), so fast lanes absorb skew instead of
-//                     idling behind the slowest span.
+//                     fleet sends the next span on each lane it frees),
+//                     so fast lanes absorb skew instead of idling behind
+//                     the slowest span.
 //
 // Determinism: a plan is a pure function of (n_samples, lanes, grain) —
 // never of time, load or completion order — and every span writes its

@@ -362,7 +362,7 @@ engine_config decode_engine_config(reader& in) {
     noise.set_readout(readout);
     noise.set_measure_duration(in.f64());
     config.noise = noise;
-    config.shards = 0; // workers run their inner backend un-sharded
+    config.shards = 0; // workers run their inner backend on their own
     return config;
 }
 

@@ -1,4 +1,4 @@
-// Binary wire format for remote sharded execution.
+// Binary wire format for remote execution.
 //
 // The worker fleet (behind remote:<inner> and quorum_serve) ships a span's
 // work — the compiled program (or per-level program family), the span's
@@ -135,7 +135,7 @@ void encode_program(writer& out, const program& prog);
 [[nodiscard]] program decode_program(reader& in);
 
 /// Engine parameters (sampling mode, shots, noise model). `shards` does
-/// not travel: a worker always runs its inner backend un-sharded.
+/// not travel: a worker always runs its inner backend on its own.
 void encode_engine_config(writer& out, const engine_config& config);
 [[nodiscard]] engine_config decode_engine_config(reader& in);
 

@@ -29,9 +29,9 @@ worker_session::handle(std::span<const std::uint8_t> request) {
             const engine_config config = wire::decode_engine_config(in);
             in.expect_done();
             // Same rule as the client-side probe: a worker engine is one
-            // PLAIN backend. In particular "remote"/"sharded" must fail
-            // here — a corrupted hello must never make a worker spawn
-            // grandchild workers or an all-cores shard pool.
+            // PLAIN backend. In particular "remote" must fail here — a
+            // corrupted hello must never make a worker spawn grandchild
+            // workers.
             QUORUM_EXPECTS_MSG(is_plain_engine_name(inner),
                                "wire: worker engines are plain backend "
                                "names");

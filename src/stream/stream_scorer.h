@@ -68,8 +68,10 @@ struct stream_config {
     /// Epoch length: arrivals between deterministic re-bucketings.
     std::size_t rebucket_interval = 64;
     /// The underlying ensemble configuration. `ensemble_groups` sets the
-    /// stream ensemble width; threads/shards apply to the backend as in
-    /// batch mode. Streaming cost per arrival is
+    /// stream ensemble width. The stream ignores `threads`: a push
+    /// evaluates every group in one group-session call on the caller's
+    /// thread; `shards` sizes a remote backend as in batch mode.
+    /// Streaming cost per arrival is
     /// ensemble_groups * levels circuit evaluations, so stream configs
     /// typically run tens of groups, not the paper's 1000.
     core::quorum_config detector;

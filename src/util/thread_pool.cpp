@@ -1,124 +1,50 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
-#include <utility>
-
-#include "util/contracts.h"
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace quorum::util {
 
-namespace {
-
-/// Shared state of one parallel_for call. Helper tasks hold it by
-/// shared_ptr: a helper that gets scheduled only after parallel_for has
-/// returned (all iterations claimed by other lanes) finds next >= count
-/// and exits without touching anything freed.
-struct parallel_for_state {
+void parallel_for(std::size_t count, std::size_t lanes,
+                  const std::function<void(std::size_t)>& body) {
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    std::size_t count = 0;
-    std::function<void(std::size_t)> body;
-    std::mutex mutex;
-    std::condition_variable done;
+    std::mutex error_mutex;
     std::exception_ptr first_error;
-};
-
-/// Claims and runs iterations until none are left. Failed iterations
-/// record the first exception and still count as completed, so the caller
-/// always observes completed == count (structured error, never a hang).
-void drive_parallel_for(const std::shared_ptr<parallel_for_state>& state) {
-    for (;;) {
-        const std::size_t i = state->next.fetch_add(1);
-        if (i >= state->count) {
-            return;
+    // Failed iterations record the first exception and the lane keeps
+    // claiming, so every other iteration still runs.
+    const auto drive = [&]() {
+        for (std::size_t i = next++; i < count; i = next++) {
+            try {
+                body(i);
+            } catch (...) {
+                const std::scoped_lock lock(error_mutex);
+                if (!first_error) {
+                    first_error = std::current_exception();
+                }
+            }
         }
+    };
+    std::vector<std::thread> helpers;
+    const std::size_t total = std::min(lanes, count);
+    helpers.reserve(total > 0 ? total - 1 : 0);
+    for (std::size_t lane = 1; lane < total; ++lane) {
         try {
-            state->body(i);
-        } catch (...) {
-            const std::scoped_lock lock(state->mutex);
-            if (!state->first_error) {
-                state->first_error = std::current_exception();
-            }
-        }
-        if (state->completed.fetch_add(1) + 1 == state->count) {
-            // Lock before notifying so the wakeup cannot slip between the
-            // waiter's predicate check and its wait.
-            const std::scoped_lock lock(state->mutex);
-            state->done.notify_all();
+            helpers.emplace_back(drive);
+        } catch (const std::system_error&) {
+            break; // out of threads: the lanes already started do the rest
         }
     }
-}
-
-} // namespace
-
-thread_pool::thread_pool(std::size_t threads) {
-    const std::size_t count = threads == 0 ? 1 : threads;
-    workers_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        workers_.emplace_back([this]() { worker_loop(); });
+    drive();
+    for (std::thread& helper : helpers) {
+        helper.join();
     }
-}
-
-thread_pool::~thread_pool() {
-    {
-        const std::scoped_lock lock(mutex_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (auto& worker : workers_) {
-        worker.join();
-    }
-}
-
-void thread_pool::worker_loop() {
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock lock(mutex_);
-            wake_.wait(lock, [this]() { return stopping_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return; // stopping_ and drained
-            }
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-    }
-}
-
-void thread_pool::parallel_for(std::size_t count,
-                               const std::function<void(std::size_t)>& body) {
-    if (count == 0) {
-        return;
-    }
-    auto state = std::make_shared<parallel_for_state>();
-    state->count = count;
-    state->body = body;
-
-    // Fire-and-forget helpers: the caller never waits on them, only on the
-    // iteration count, so queued helpers stuck behind busy workers cannot
-    // deadlock a nested call.
-    const std::size_t helpers = std::min(size(), count - 1);
-    if (helpers > 0) {
-        {
-            const std::scoped_lock lock(mutex_);
-            for (std::size_t lane = 0; lane < helpers; ++lane) {
-                queue_.emplace_back(
-                    [state]() { drive_parallel_for(state); });
-            }
-        }
-        wake_.notify_all();
-    }
-    drive_parallel_for(state);
-
-    std::unique_lock lock(state->mutex);
-    state->done.wait(lock, [&state]() {
-        return state->completed.load() >= state->count;
-    });
-    if (state->first_error) {
-        std::rethrow_exception(state->first_error);
+    if (first_error) {
+        std::rethrow_exception(first_error);
     }
 }
 

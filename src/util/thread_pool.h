@@ -1,71 +1,24 @@
-// Fixed-size worker pool powering Quorum's "embarrassingly parallel"
-// ensemble evaluation (paper §IV-F). Results stay deterministic because
-// each parallel work item owns an index-derived RNG stream and results are
-// reduced in index order, never in completion order.
+// Threads for Quorum's "embarrassingly parallel" ensemble evaluation
+// (paper §IV-F). Results stay deterministic because each parallel work
+// item owns an index-derived RNG stream and writes its own output slot;
+// results are reduced in index order, never in completion order.
 #ifndef QUORUM_UTIL_THREAD_POOL_H
 #define QUORUM_UTIL_THREAD_POOL_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace quorum::util {
 
-/// A minimal fixed-size thread pool. Tasks are void() callables; use
-/// submit() for future-returning work or parallel_for for index ranges.
-class thread_pool {
-public:
-    /// Creates `threads` workers (at least 1).
-    explicit thread_pool(std::size_t threads);
-
-    thread_pool(const thread_pool&) = delete;
-    thread_pool& operator=(const thread_pool&) = delete;
-
-    /// Drains outstanding tasks, then joins all workers.
-    ~thread_pool();
-
-    /// Number of worker threads.
-    [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-    /// Enqueues a task and returns a future for its result.
-    template <typename F>
-    auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-        using result_t = std::invoke_result_t<F>;
-        auto packaged = std::make_shared<std::packaged_task<result_t()>>(
-            std::forward<F>(task));
-        std::future<result_t> result = packaged->get_future();
-        {
-            const std::scoped_lock lock(mutex_);
-            queue_.emplace_back([packaged]() { (*packaged)(); });
-        }
-        wake_.notify_one();
-        return result;
-    }
-
-    /// Runs body(i) for i in [0, count) across the pool and blocks until all
-    /// iterations finish. Exceptions from body are rethrown (first one wins);
-    /// every other iteration still runs, so a failure can never hang the
-    /// pool. The calling thread participates in the work loop instead of
-    /// sleeping on futures, which makes nested calls — a worker's task
-    /// invoking parallel_for on its own pool — complete even when every
-    /// worker is busy. Safe to call concurrently from multiple threads.
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& body);
-
-private:
-    void worker_loop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    bool stopping_ = false;
-};
+/// Runs body(i) for every i in [0, count) and returns once all of them
+/// ran. The caller and min(lanes, count) - 1 threads started for this
+/// call take indices from one shared counter; lanes == 0 runs everything
+/// on the caller. The first exception a body throws is rethrown after
+/// every other iteration has run. A body may call parallel_for itself:
+/// each call starts its own threads, so nested calls cannot deadlock.
+/// Safe to call concurrently from several threads.
+void parallel_for(std::size_t count, std::size_t lanes,
+                  const std::function<void(std::size_t)>& body);
 
 /// Hardware thread count, never less than 1.
 [[nodiscard]] std::size_t default_thread_count() noexcept;

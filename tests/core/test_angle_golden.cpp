@@ -4,8 +4,8 @@
 //
 //   * committed %.17g fixtures for all four exec modes (exact, sampled,
 //     per_shot, noisy), diffed bit-for-bit on every run;
-//   * sharded:{1,2,3} lanes, a remote 2-worker fleet and the plain
-//     backend all land on IEEE-identical scores in every mode.
+//   * 1, 2 and 3 row ranges per group, a remote 2-worker fleet and a
+//     single thread all land on IEEE-identical scores in every mode.
 //
 // Regenerate with:  QUORUM_REGEN_FIXTURES=1 ctest -R AngleGolden
 // Platform scope: same as test_golden_scores.cpp (one libm platform).
@@ -161,9 +161,11 @@ TEST(AngleGolden, PerShotAndNoisyScoresMatchFixture) {
                   {per_shot, noisy});
 }
 
-TEST(AngleGolden, ShardedReproducesPlainScoresBitForBitAllModes) {
-    // Lane-count invariance under angle encoding, in EVERY exec mode —
-    // including noisy, whose density backend lowers the ry_product prep.
+TEST(AngleGolden, RowRangesReproducePlainScoresBitForBitAllModes) {
+    // Row-range invariance under angle encoding, in EVERY exec mode —
+    // including noisy, whose density backend lowers the ry_product prep:
+    // groups x ranges threads split each group's rows into that many
+    // ranges.
     for (const core::exec_mode mode :
          {core::exec_mode::exact, core::exec_mode::sampled,
           core::exec_mode::per_shot, core::exec_mode::noisy}) {
@@ -171,17 +173,16 @@ TEST(AngleGolden, ShardedReproducesPlainScoresBitForBitAllModes) {
                                 mode == core::exec_mode::sampled;
         const data::dataset d = angle_dataset(cheap_mode ? 24 : 12);
         const std::size_t groups = cheap_mode ? 4 : 2;
-        const std::vector<double> reference =
-            score_with(angle_config(mode, groups), d);
-        for (const std::size_t shards : {1u, 2u, 3u}) {
-            core::quorum_config config = angle_config(mode, groups);
-            config.backend = "sharded";
-            config.shards = shards;
-            const std::vector<double> sharded = score_with(config, d);
-            ASSERT_EQ(sharded.size(), reference.size());
-            for (std::size_t i = 0; i < sharded.size(); ++i) {
-                EXPECT_EQ(sharded[i], reference[i])
-                    << core::exec_mode_name(mode) << " shards=" << shards
+        core::quorum_config config = angle_config(mode, groups);
+        config.threads = 1;
+        const std::vector<double> reference = score_with(config, d);
+        for (const std::size_t ranges : {1u, 2u, 3u}) {
+            config.threads = groups * ranges;
+            const std::vector<double> split = score_with(config, d);
+            ASSERT_EQ(split.size(), reference.size());
+            for (std::size_t i = 0; i < split.size(); ++i) {
+                EXPECT_EQ(split[i], reference[i])
+                    << core::exec_mode_name(mode) << " ranges=" << ranges
                     << " sample=" << i;
             }
         }

@@ -39,16 +39,20 @@ data::dataset small_normalized_dataset(std::uint64_t seed,
     return data::normalize_for_quorum(raw.without_labels());
 }
 
+/// Both paths over `ranges` concurrent row ranges per group.
 void expect_fused_equals_per_level(const quorum_config& fused_config,
                                    const data::dataset& d,
-                                   const std::string& label) {
+                                   const std::string& label,
+                                   std::size_t ranges = 1) {
     quorum_config per_level_config = fused_config;
     per_level_config.fused_levels = false;
+    const auto engine = exec::make_executor(fused_config.resolved_backend(),
+                                            fused_config.to_engine_config());
     for (std::size_t group = 0; group < 2; ++group) {
         const group_result fused =
-            core::run_ensemble_group(d, fused_config, group);
-        const group_result per_level =
-            core::run_ensemble_group(d, per_level_config, group);
+            core::run_ensemble_group(d, fused_config, group, *engine, ranges);
+        const group_result per_level = core::run_ensemble_group(
+            d, per_level_config, group, *engine, ranges);
         ASSERT_EQ(fused.abs_z_sum.size(), per_level.abs_z_sum.size());
         for (std::size_t i = 0; i < fused.abs_z_sum.size(); ++i) {
             EXPECT_EQ(fused.abs_z_sum[i], per_level.abs_z_sum[i])
@@ -59,8 +63,7 @@ void expect_fused_equals_per_level(const quorum_config& fused_config,
     }
 }
 
-quorum_config mode_config(exec_mode mode, const std::string& backend,
-                          std::size_t shards = 0) {
+quorum_config mode_config(exec_mode mode, const std::string& backend) {
     quorum_config config;
     config.mode = mode;
     config.shots = mode == exec_mode::per_shot  ? 24
@@ -68,7 +71,6 @@ quorum_config mode_config(exec_mode mode, const std::string& backend,
                    : mode == exec_mode::sampled ? 512
                                                 : 0;
     config.backend = backend;
-    config.shards = shards;
     config.seed = 314;
     return config;
 }
@@ -79,10 +81,10 @@ TEST(FusedEnsemble, ExactModeEveryBackend) {
         expect_fused_equals_per_level(
             mode_config(exec_mode::exact, backend), d, backend);
     }
-    for (const std::size_t shards : {1u, 2u, 3u}) {
+    for (const std::size_t ranges : {1u, 2u, 3u}) {
         expect_fused_equals_per_level(
-            mode_config(exec_mode::exact, "sharded:statevector", shards), d,
-            "sharded@" + std::to_string(shards));
+            mode_config(exec_mode::exact, "statevector"), d,
+            "ranges@" + std::to_string(ranges), ranges);
     }
 }
 
@@ -97,10 +99,10 @@ TEST(FusedEnsemble, SampledModeEveryBackend) {
     const data::dataset d = small_normalized_dataset(55, 24);
     expect_fused_equals_per_level(
         mode_config(exec_mode::sampled, "statevector"), d, "statevector");
-    for (const std::size_t shards : {1u, 2u, 3u}) {
+    for (const std::size_t ranges : {1u, 2u, 3u}) {
         expect_fused_equals_per_level(
-            mode_config(exec_mode::sampled, "sharded:statevector", shards),
-            d, "sharded@" + std::to_string(shards));
+            mode_config(exec_mode::sampled, "statevector"), d,
+            "ranges@" + std::to_string(ranges), ranges);
     }
 }
 
@@ -109,17 +111,15 @@ TEST(FusedEnsemble, PerShotMode) {
     expect_fused_equals_per_level(
         mode_config(exec_mode::per_shot, "statevector"), d, "statevector");
     expect_fused_equals_per_level(
-        mode_config(exec_mode::per_shot, "sharded:statevector", 2), d,
-        "sharded@2");
+        mode_config(exec_mode::per_shot, "statevector"), d, "ranges@2", 2);
 }
 
 TEST(FusedEnsemble, NoisyMode) {
     const data::dataset d = small_normalized_dataset(59, 10);
     expect_fused_equals_per_level(mode_config(exec_mode::noisy, "density"),
                                   d, "density");
-    expect_fused_equals_per_level(
-        mode_config(exec_mode::noisy, "sharded:density", 2), d,
-        "sharded:density@2");
+    expect_fused_equals_per_level(mode_config(exec_mode::noisy, "density"),
+                                  d, "density ranges@2", 2);
 }
 
 TEST(FusedEnsemble, DetectorScoresIdenticalEitherPath) {

@@ -1,13 +1,13 @@
 // Golden score fixtures: a committed CSV of flagship-workload anomaly
 // scores, recomputed and diffed bit-for-bit on every run. Engine work
-// (new backends, fusion, sharding, transpile caches) cannot silently
+// (new backends, fusion, row ranges, transpile caches) cannot silently
 // drift Quorum's numbers past this test — any intentional change must
 // regenerate the fixtures and show up in review as a CSV diff.
 //
 // Regenerate with:  QUORUM_REGEN_FIXTURES=1 ctest -R GoldenScores
 //
 // Platform scope: bit-exactness is guaranteed across thread counts,
-// shard counts, backends and build types on ONE platform, not across
+// worker counts, backends and build types on ONE platform, not across
 // libm implementations — gate angles pass through sin/cos, whose
 // last-ulp results may differ on non-glibc/x86-64 hosts (the committed
 // fixtures come from the CI platform). On such a host, regenerate
@@ -200,23 +200,23 @@ TEST(GoldenScores, RemoteDetectorReproducesPlainScoresBitForBit) {
 }
 #endif // QUORUM_WORKER_BIN
 
-TEST(GoldenScores, ShardedDetectorReproducesPlainScoresBitForBit) {
-    // End-to-end shard invariance: the full detector run through the
-    // sharded backend lands on the SAME scores as the plain backend (the
-    // ones the fixture above pins), for several shard counts.
+TEST(GoldenScores, RowRangesReproducePlainScoresBitForBit) {
+    // End-to-end row-range invariance: with more threads than groups the
+    // detector splits each group's rows into ranges and lands on the
+    // SAME scores as one thread (the ones the fixture above pins), for
+    // several range counts.
     const data::dataset d = flagship_dataset(48);
-    const std::vector<double> reference =
-        score_with(flagship_config(core::exec_mode::sampled, 6), d);
-    for (const std::size_t shards : {2u, 3u}) {
-        core::quorum_config config =
-            flagship_config(core::exec_mode::sampled, 6);
-        config.backend = "sharded:statevector";
-        config.shards = shards;
-        const std::vector<double> sharded = score_with(config, d);
-        ASSERT_EQ(sharded.size(), reference.size());
-        for (std::size_t i = 0; i < sharded.size(); ++i) {
-            EXPECT_EQ(sharded[i], reference[i])
-                << "shards=" << shards << " sample=" << i;
+    core::quorum_config config =
+        flagship_config(core::exec_mode::sampled, 6);
+    config.threads = 1;
+    const std::vector<double> reference = score_with(config, d);
+    for (const std::size_t ranges : {2u, 3u}) {
+        config.threads = 6 * ranges;
+        const std::vector<double> split = score_with(config, d);
+        ASSERT_EQ(split.size(), reference.size());
+        for (std::size_t i = 0; i < split.size(); ++i) {
+            EXPECT_EQ(split[i], reference[i])
+                << "ranges=" << ranges << " sample=" << i;
         }
     }
 }

@@ -2,6 +2,8 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <memory>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "data/bucketing.h"
 #include "data/generators.h"
 #include "data/preprocess.h"
+#include "exec/registry.h"
 #include "metrics/confusion.h"
 #include "metrics/detection_curve.h"
 #include "util/rng.h"
@@ -181,84 +184,133 @@ TEST(QuorumDetector, FlagCountAndBucketSizingShareCeilRounding) {
     }
 }
 
-TEST(QuorumDetector, ProgressCallbackSeesEveryGroup) {
-    const dataset d = planted_dataset(19, 40, 2);
-    quorum_config config = fast_config();
-    config.ensemble_groups = 10;
-    quorum_detector detector(config);
-    std::atomic<std::size_t> calls{0};
-    std::atomic<std::size_t> final_done{0};
-    detector.set_progress_callback([&](std::size_t done, std::size_t total) {
-        calls.fetch_add(1);
-        EXPECT_EQ(total, 10u);
-        final_done.store(std::max(final_done.load(), done));
-    });
-    (void)detector.score(d);
-    EXPECT_EQ(calls.load(), 10u);
-    EXPECT_EQ(final_done.load(), 10u);
-}
-
-TEST(QuorumDetector, ProgressCallbackDeliveryIsSerialized) {
-    // Many groups, many pool workers: without the detector's internal
-    // mutex, callbacks would run concurrently (the `inside` flag would
-    // trip) and completion counts could arrive out of order. The state
-    // below is deliberately unsynchronised beyond the detector's own
-    // guarantee.
-    const dataset d = planted_dataset(21, 30, 2);
-    quorum_config config = fast_config();
-    config.ensemble_groups = 24;
-    config.threads = 8;
-    quorum_detector detector(config);
-
-    std::atomic<bool> inside{false};
-    std::atomic<bool> overlapped{false};
-    std::size_t last_done = 0; // plain: protected only by serialization
-    std::atomic<bool> out_of_order{false};
-    detector.set_progress_callback([&](std::size_t done, std::size_t) {
-        if (inside.exchange(true)) {
-            overlapped.store(true);
-        }
-        if (done != last_done + 1) {
-            out_of_order.store(true);
-        }
-        last_done = done;
-        inside.store(false);
-    });
-    (void)detector.score(d);
-    EXPECT_FALSE(overlapped.load()) << "progress callbacks overlapped";
-    EXPECT_FALSE(out_of_order.load())
-        << "completion counts did not arrive strictly increasing";
-    EXPECT_EQ(last_done, 24u);
-}
-
 /// Threads of this process right now.
 std::size_t live_threads() {
     const std::filesystem::directory_iterator tasks("/proc/self/task");
     return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
 }
 
-TEST(QuorumDetector, ThreadsBeyondGroupsStartNoIdleThreads) {
-    // parallel_for has one task per group, so threads = 16 over 2 groups
-    // needs one pool thread beside the caller, not fifteen.
-    const dataset d = planted_dataset(23, 40, 2);
-    quorum_config config = fast_config();
-    config.ensemble_groups = 2;
-    config.threads = 1;
-    const score_report serial = quorum_detector(config).score(d);
-    // A first threaded run starts any helper thread the runtime keeps
-    // (ThreadSanitizer has one), so `before` counts it.
-    config.threads = 2;
-    (void)quorum_detector(config).score(d);
+/// The most threads a thread_sampling_executor saw inside a batch call.
+std::atomic<std::size_t> peak_threads{0};
 
-    config.threads = 16;
-    quorum_detector wide(config);
-    const std::size_t before = live_threads();
-    std::size_t peak = 0; // callbacks are serialised (see above)
-    wide.set_progress_callback([&peak](std::size_t, std::size_t) {
-        peak = std::max(peak, live_threads());
-    });
-    EXPECT_EQ(wide.score(d).scores, serial.scores);
-    EXPECT_LE(peak, before + 1);
+/// A statevector decorator that samples the process's live threads in
+/// every batch call, so inside every group and every row range.
+class thread_sampling_executor final : public quorum::exec::executor {
+public:
+    explicit thread_sampling_executor(const quorum::exec::engine_config& c)
+        : inner_(quorum::exec::make_executor("statevector", c)) {}
+
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return inner_->name();
+    }
+    [[nodiscard]] bool
+    supports(quorum::exec::readout_kind kind) const noexcept override {
+        return inner_->supports(kind);
+    }
+    [[nodiscard]] bool
+    supports(quorum::exec::capability what) const noexcept override {
+        return inner_->supports(what);
+    }
+    [[nodiscard]] double run(const quorum::qsim::circuit& c, int cbit,
+                             quorum::util::rng* gen) const override {
+        return inner_->run(c, cbit, gen);
+    }
+    void run_batch(const quorum::exec::program& prog,
+                   std::span<const quorum::exec::sample> samples,
+                   std::span<double> out) const override {
+        sample_threads();
+        inner_->run_batch(prog, samples, out);
+    }
+    void run_batch_levels(std::span<const quorum::exec::program> levels,
+                          std::span<const quorum::exec::sample> samples,
+                          std::span<double> out) const override {
+        sample_threads();
+        inner_->run_batch_levels(levels, samples, out);
+    }
+
+private:
+    static void sample_threads() {
+        const std::size_t now = live_threads();
+        std::size_t seen = peak_threads.load();
+        while (now > seen && !peak_threads.compare_exchange_weak(seen, now)) {
+        }
+    }
+
+    std::unique_ptr<quorum::exec::executor> inner_;
+};
+
+TEST(QuorumDetector, ThreadsBeyondGroupsStartNoIdleThreads) {
+    // --threads goes to groups, then to each group's row ranges, so at
+    // most min(threads, groups * rows) lanes run: threads = 16 over 2
+    // groups of 3 rows starts 5 threads beside the caller, not 15.
+    quorum::exec::register_backend(
+        "quorum_test_thread_sampling",
+        [](const quorum::exec::engine_config& config) {
+            return std::make_unique<thread_sampling_executor>(config);
+        });
+    for (const std::size_t rows : {40u, 3u}) {
+        const dataset d = planted_dataset(23, rows, rows > 3 ? 2 : 1);
+        quorum_config config = fast_config();
+        config.ensemble_groups = 2;
+        config.backend = "quorum_test_thread_sampling";
+        config.threads = 1;
+        const score_report serial = quorum_detector(config).score(d);
+        // A first threaded run starts any helper thread the runtime keeps
+        // (ThreadSanitizer has one), so `before` counts it.
+        config.threads = 2;
+        (void)quorum_detector(config).score(d);
+
+        config.threads = 16;
+        const quorum_detector wide(config);
+        const std::size_t before = live_threads();
+        peak_threads = 0;
+        EXPECT_EQ(wide.score(d).scores, serial.scores) << rows << " rows";
+        EXPECT_LE(peak_threads.load(),
+                  before + std::min<std::size_t>(16, 2 * rows) - 1)
+            << rows << " rows";
+    }
+}
+
+TEST(QuorumDetector, RowRangesMatchOneRangeInEveryMode) {
+    // With fewer groups than threads each group's rows run as
+    // floor(threads / groups) concurrent ranges. Row i at level k draws
+    // from the group's child(k * n + i) with i counted over the whole
+    // table, so every split lands on the one-thread scores bit for bit.
+    struct mode_case {
+        exec_mode mode;
+        std::size_t rows;
+        std::size_t shots;
+    };
+    for (const mode_case& mc : {mode_case{exec_mode::exact, 24, 0},
+                                mode_case{exec_mode::sampled, 24, 512},
+                                mode_case{exec_mode::per_shot, 8, 16},
+                                mode_case{exec_mode::noisy, 5, 64}}) {
+        const dataset d = planted_dataset(31, mc.rows, 1);
+        for (const bool fused : {true, false}) {
+            for (const std::size_t groups : {1u, 2u, 3u}) {
+                quorum_config config = fast_config();
+                config.mode = mc.mode;
+                config.shots = mc.shots;
+                config.fused_levels = fused;
+                config.ensemble_groups = groups;
+                config.threads = 1;
+                const score_report one = quorum_detector(config).score(d);
+                for (const std::size_t threads : {2u, 4u, 7u}) {
+                    config.threads = threads;
+                    const score_report split =
+                        quorum_detector(config).score(d);
+                    ASSERT_EQ(split.scores.size(), one.scores.size());
+                    for (std::size_t i = 0; i < one.scores.size(); ++i) {
+                        EXPECT_EQ(split.scores[i], one.scores[i])
+                            << exec_mode_name(mc.mode)
+                            << (fused ? " fused" : " per-level") << " groups "
+                            << groups << " threads " << threads << " row "
+                            << i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(QuorumDetector, RejectsDegenerateDatasets) {

@@ -274,6 +274,25 @@ TEST(DensityBackend, BrisbaneNoiseShiftsProbabilitiesSlightly) {
     }
 }
 
+TEST(DensityBackend, BatchedDensityMatchesPerSampleMaterializedRuns) {
+    // The batched density path (shared-suffix transpile cache) must stay
+    // bit-identical to transpiling each sample's materialized circuit.
+    const batch_fixture fixture(39, 4);
+    exec::engine_config config;
+    config.noise = qsim::noise_model::ibm_brisbane_median();
+    const auto engine = exec::make_executor("density", config);
+    const exec::program program = full_program(fixture.params, 1);
+    std::vector<double> batched(fixture.amplitudes.size());
+    engine->run_batch(program, fixture.make_samples(), batched);
+    for (std::size_t i = 0; i < fixture.amplitudes.size(); ++i) {
+        const qsim::circuit c =
+            program.circuit.materialize(fixture.amplitudes[i]);
+        EXPECT_EQ(batched[i],
+                  engine->run(c, qml::swap_result_cbit, nullptr))
+            << i;
+    }
+}
+
 TEST(DensityBackend, RejectsPerShotSampling) {
     exec::engine_config config;
     config.sampling_mode = exec::sampling::per_shot;

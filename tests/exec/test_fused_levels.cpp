@@ -11,8 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "../loopback.h"
+#include "exec/fleet.h"
 #include "exec/registry.h"
-#include "exec/sharded_backend.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
@@ -231,27 +232,30 @@ TEST(FusedLevels, DensityBinomialFullCircuitFamily) {
                          fixture, 41, true);
 }
 
-TEST(FusedLevels, ShardedStatevectorEveryShardCount) {
+TEST(FusedLevels, RemoteStatevectorEveryWorkerCount) {
+    // Through loopback workers: each span of the plan runs the family
+    // through the worker's own fused path.
     const level_fixture fixture(17);
-    for (const std::size_t shards : {1u, 2u, 3u}) {
+    for (const std::size_t workers : {1u, 2u, 3u}) {
         exec::engine_config config;
         config.sampling_mode = exec::sampling::binomial;
         config.shots = 256;
-        config.shards = shards;
-        const auto engine =
-            exec::make_executor("sharded:statevector", config);
-        expect_fused_matches(*engine, fixture.analytic_family(nested_levels),
+        config.shards = workers;
+        const exec::fleet_executor engine(config, "statevector",
+                                          test::loopback_factory());
+        expect_fused_matches(engine, fixture.analytic_family(nested_levels),
                              fixture, 43, true);
     }
 }
 
-TEST(FusedLevels, ShardedDensityExact) {
+TEST(FusedLevels, RemoteDensityExact) {
     const level_fixture fixture(19, 4);
     exec::engine_config config;
     config.noise = qsim::noise_model::ibm_brisbane_median();
     config.shards = 2;
-    const auto engine = exec::make_executor("sharded:density", config);
-    expect_fused_matches(*engine, fixture.full_family(nested_levels),
+    const exec::fleet_executor engine(config, "density",
+                                      test::loopback_factory());
+    expect_fused_matches(engine, fixture.full_family(nested_levels),
                          fixture, 47, false);
 }
 
@@ -279,7 +283,7 @@ TEST(FusedLevels, CapabilityIsAdvertisedPerBackend) {
                     ->supports(exec::capability::fused_levels));
     EXPECT_TRUE(exec::make_executor("density", exact)
                     ->supports(exec::capability::fused_levels));
-    EXPECT_TRUE(exec::make_executor("sharded:statevector", exact)
+    EXPECT_TRUE(exec::make_executor("remote:statevector", exact)
                     ->supports(exec::capability::fused_levels));
 
     exec::engine_config per_shot;
@@ -289,7 +293,7 @@ TEST(FusedLevels, CapabilityIsAdvertisedPerBackend) {
     // naive fallback serves run_batch_levels instead.
     EXPECT_FALSE(exec::make_executor("statevector", per_shot)
                      ->supports(exec::capability::fused_levels));
-    EXPECT_FALSE(exec::make_executor("sharded:statevector", per_shot)
+    EXPECT_FALSE(exec::make_executor("remote:statevector", per_shot)
                      ->supports(exec::capability::fused_levels));
 }
 

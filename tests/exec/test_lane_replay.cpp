@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../loopback.h"
+#include "exec/fleet.h"
 #include "exec/registry.h"
 #include "exec/statevector_backend.h"
 #include "qml/ansatz.h"
@@ -348,7 +350,17 @@ TEST(LaneReplay, GeneralSingleQubitGatesMatch) {
     }
 }
 
-TEST(LaneReplay, ShardedStatevectorMatchesPlain) {
+/// A remote:statevector engine over `workers` in-process loopback
+/// workers: it cuts every batch into spans and takes the base group
+/// session, the wrapper paths the lane replay must survive.
+std::unique_ptr<exec::executor> loopback_remote(exec::engine_config config,
+                                                std::size_t workers) {
+    config.shards = workers;
+    return std::make_unique<exec::fleet_executor>(config, "statevector",
+                                                  test::loopback_factory());
+}
+
+TEST(LaneReplay, RemoteStatevectorMatchesPlain) {
     util::rng gen(5);
     const qml::ansatz_params params = qml::random_ansatz_params(3, 2, gen);
     const std::size_t levels[] = {1, 2};
@@ -361,20 +373,17 @@ TEST(LaneReplay, ShardedStatevectorMatchesPlain) {
         const auto plain_batch = make_samples(amplitudes, {}, &plain_streams);
         std::vector<double> expected(amplitudes.size() * 2);
         plain->run_batch_levels(family, plain_batch, expected);
-        for (const std::size_t shards : {1, 2, 3, 5}) {
-            exec::engine_config config = engine_config(mode);
-            config.shards = shards;
-            const auto sharded =
-                exec::make_executor("sharded:statevector", config);
-            expect_matches_per_sample(*sharded, family, amplitudes,
-                                      mode_name(mode) + " sharded");
+        for (const std::size_t workers : {1, 2, 3, 5}) {
+            const auto remote = loopback_remote(engine_config(mode), workers);
+            expect_matches_per_sample(*remote, family, amplitudes,
+                                      mode_name(mode) + " remote");
             stream_table streams(amplitudes.size(), 2);
             const auto batch = make_samples(amplitudes, {}, &streams);
             std::vector<double> got(amplitudes.size() * 2);
-            sharded->run_batch_levels(family, batch, got);
+            remote->run_batch_levels(family, batch, got);
             expect_bits_equal(got, expected,
-                              mode_name(mode) + " sharded " +
-                                  std::to_string(shards) + " vs plain");
+                              mode_name(mode) + " remote " +
+                                  std::to_string(workers) + " vs plain");
         }
     }
 }
@@ -714,13 +723,10 @@ TEST(LaneReplay, GroupSessionFallbacksMatch) {
         expect_group_matches_per_family(*engine, mixed_levels,
                                         wide_amplitudes,
                                         name + " other level ends");
-        // The wrappers and the density engine take the base session.
-        exec::engine_config sharded_config = engine_config(mode);
-        sharded_config.shards = 3;
-        const auto sharded =
-            exec::make_executor("sharded:statevector", sharded_config);
-        expect_group_matches_per_family(*sharded, same_shape, amplitudes,
-                                        name + " sharded");
+        // The remote wrapper and the density engine take the base session.
+        const auto remote = loopback_remote(engine_config(mode), 3);
+        expect_group_matches_per_family(*remote, same_shape, amplitudes,
+                                        name + " remote");
     }
 
     family_list cbit_families;
@@ -766,7 +772,11 @@ TEST(LaneReplay, GroupSessionContractErrors) {
     const auto has = [](const std::string& message, const char* part) {
         return message.find(part) != std::string::npos;
     };
-    for (const char* spec : {"statevector", "sharded:statevector"}) {
+    exec::register_backend("lane_replay_remote",
+                           [](const exec::engine_config& config) {
+                               return loopback_remote(config, 3);
+                           });
+    for (const char* spec : {"statevector", "lane_replay_remote"}) {
         const auto engine = exec::make_executor(
             spec, engine_config(exec::sampling::binomial));
         const auto session = engine->make_group_session(families);

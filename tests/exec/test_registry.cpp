@@ -4,7 +4,6 @@
 
 #include "exec/fleet.h"
 #include "exec/registry.h"
-#include "exec/sharded_backend.h"
 #include "util/contracts.h"
 
 namespace {
@@ -18,7 +17,20 @@ TEST(ExecRegistry, BuiltinsAreRegistered) {
     EXPECT_NE(std::find(names.begin(), names.end(), "density"), names.end());
     EXPECT_TRUE(exec::is_backend_registered("statevector"));
     EXPECT_TRUE(exec::is_backend_registered("density"));
+    EXPECT_TRUE(exec::is_backend_registered("remote"));
+    EXPECT_TRUE(exec::is_backend_registered("remote:density"));
     EXPECT_FALSE(exec::is_backend_registered("warp-drive"));
+    EXPECT_FALSE(exec::is_backend_registered("remote:warp-drive"));
+    // Groups and row ranges share --threads in core; no built-in splits
+    // an executor call a second time in process.
+    EXPECT_EQ(std::find(names.begin(), names.end(), "sharded"), names.end());
+    for (const char* spec : {"sharded", "sharded:statevector",
+                             "sharded:density", "sharded:auto"}) {
+        EXPECT_FALSE(exec::is_backend_registered(spec)) << spec;
+        EXPECT_THROW((void)exec::make_executor(spec, exec::engine_config{}),
+                     util::contract_error)
+            << spec;
+    }
 }
 
 TEST(ExecRegistry, MakeExecutorInstantiatesByName) {
@@ -40,18 +52,13 @@ TEST(ExecRegistry, UnknownBackendThrowsWithKnownNames) {
 }
 
 TEST(ExecRegistry, EveryInnerEngineNameSiteRejectsWrappersAndComposites) {
-    // One predicate decides what a wrapper may run its lanes on; the worker
-    // hello and quorum_serve --backend are checked in their own suites.
+    // One predicate decides what a worker may run; the worker hello and
+    // quorum_serve --backend are checked in their own suites.
     EXPECT_TRUE(exec::is_plain_engine_name("statevector"));
     EXPECT_TRUE(exec::is_plain_engine_name("density"));
-    for (const std::string name : {"sharded", "remote", "fleet", "a:b", ""}) {
+    for (const std::string name : {"remote", "fleet", "a:b", ""}) {
         EXPECT_FALSE(exec::is_plain_engine_name(name)) << name;
-        for (const std::string wrapper : {"sharded:", "remote:"}) {
-            EXPECT_THROW((void)exec::parse_backend_spec(wrapper + name),
-                         util::contract_error)
-                << wrapper << name;
-        }
-        EXPECT_THROW(exec::sharded_backend(exec::engine_config{}, name),
+        EXPECT_THROW((void)exec::parse_backend_spec("remote:" + name),
                      util::contract_error)
             << name;
         exec::fleet_config fleet;
@@ -59,6 +66,23 @@ TEST(ExecRegistry, EveryInnerEngineNameSiteRejectsWrappersAndComposites) {
         EXPECT_THROW(exec::worker_fleet{fleet}, util::contract_error)
             << name;
     }
+    // The spec grammar: a name, or "remote:" and one plain name.
+    EXPECT_THROW((void)exec::parse_backend_spec(""), util::contract_error);
+    EXPECT_THROW((void)exec::parse_backend_spec(":statevector"),
+                 util::contract_error);
+    EXPECT_THROW((void)exec::parse_backend_spec("density:foo"),
+                 util::contract_error);
+    EXPECT_THROW((void)exec::parse_backend_spec("sharded:statevector"),
+                 util::contract_error);
+    EXPECT_THROW((void)exec::parse_backend_spec("remote:remote:density"),
+                 util::contract_error);
+    const exec::backend_spec plain = exec::parse_backend_spec("density");
+    EXPECT_EQ(plain.name, "density");
+    EXPECT_TRUE(plain.inner.empty());
+    const exec::backend_spec composite =
+        exec::parse_backend_spec("remote:density");
+    EXPECT_EQ(composite.name, "remote");
+    EXPECT_EQ(composite.inner, "density");
 }
 
 /// A trivial backend: reports a constant. Registering it must make it

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../loopback.h"
+
 #include "core/config.h"
 #include "exec/process_transport.h"
 #include "exec/registry.h"
@@ -98,37 +100,11 @@ exec::program full_program(const qml::ansatz_params& params,
     return program;
 }
 
-/// In-process transport: runs the worker side (exec::worker_session)
-/// inline, so the full protocol executes without processes.
-class loopback_transport : public exec::wire_transport {
-public:
-    void send_message(std::span<const std::uint8_t> payload) override {
-        replies_.push_back(session_.handle(payload));
-    }
-
-    [[nodiscard]] std::vector<std::uint8_t> recv_message() override {
-        if (replies_.empty()) {
-            throw exec::transport_error("no reply queued");
-        }
-        std::vector<std::uint8_t> reply = std::move(replies_.front());
-        replies_.pop_front();
-        return reply;
-    }
-
-private:
-    exec::worker_session session_;
-    std::deque<std::vector<std::uint8_t>> replies_;
-};
-
-exec::transport_factory loopback_factory() {
-    return [](std::size_t) -> std::unique_ptr<exec::wire_transport> {
-        return std::make_unique<loopback_transport>();
-    };
-}
+using test::loopback_factory;
 
 /// Runs the batch through remote:<inner> (loopback workers) at every
 /// worker count and asserts bitwise equality with the plain inner
-/// backend — the same property the sharded suite enforces in-process.
+/// backend: no batch split may show in the values.
 void expect_worker_invariant(const batch_fixture& fixture,
                              const exec::program& program,
                              const std::string& inner,

@@ -1,23 +1,27 @@
 // Schedule-policy property suite: the span planner's contract is that the
 // POLICY is a pure performance knob — "dynamic:<grain>" must produce
 // IEEE-identical scores to "static" in every execution mode, on every
-// consumer (in-process sharded backend, multi-process remote backend,
-// serving fleet), for any grain. Plus the plan-shape invariants that make
-// that true (sample-index-keyed spans, lane-count independence, span
-// cap), the strict spec grammar, and the fault model under dynamic
-// dispatch (requeue-once survives worker death with bit-identical
-// output).
+// consumer (the remote backend's private fleet and a shared serving
+// fleet, both over an in-process loopback transport), for any grain and
+// lane count. Plus the plan-shape invariants that make that true
+// (sample-index-keyed spans balanced to within one sample, lane-count
+// independence, span cap), the strict spec grammar, and the fault model
+// under dynamic dispatch (requeue-once survives worker death with
+// bit-identical output).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "../loopback.h"
 
 #include "core/config.h"
 #include "core/quorum.h"
@@ -94,33 +98,7 @@ exec::program full_program(const qml::ansatz_params& params,
     return program;
 }
 
-/// In-process transport: runs the worker side (exec::worker_session)
-/// inline, so the full protocol executes without processes.
-class loopback_transport : public exec::wire_transport {
-public:
-    void send_message(std::span<const std::uint8_t> payload) override {
-        replies_.push_back(session_.handle(payload));
-    }
-
-    [[nodiscard]] std::vector<std::uint8_t> recv_message() override {
-        if (replies_.empty()) {
-            throw exec::transport_error("no reply queued");
-        }
-        std::vector<std::uint8_t> reply = std::move(replies_.front());
-        replies_.pop_front();
-        return reply;
-    }
-
-private:
-    exec::worker_session session_;
-    std::deque<std::vector<std::uint8_t>> replies_;
-};
-
-exec::transport_factory loopback_factory() {
-    return [](std::size_t) -> std::unique_ptr<exec::wire_transport> {
-        return std::make_unique<loopback_transport>();
-    };
-}
+using test::loopback_factory;
 
 /// One execution-mode configuration of the invariance sweep. The program
 /// flavour follows the mode's semantics: analytic shortcut where the
@@ -256,6 +234,42 @@ TEST(Schedule, StaticPlansAreMakeShardPlanVerbatim) {
     }
 }
 
+TEST(Schedule, PlanIsStableContiguousAndBalanced) {
+    for (const std::size_t n : {1u, 7u, 60u, 241u}) {
+        for (const std::size_t shards : {1u, 2u, 3u, 7u, 64u}) {
+            const auto plan = exec::make_shard_plan(n, shards);
+            const auto replay = exec::make_shard_plan(n, shards);
+            ASSERT_EQ(plan.size(), replay.size());
+            std::size_t covered = 0;
+            for (std::size_t k = 0; k < plan.size(); ++k) {
+                // Keyed by sample index only: re-planning is bit-stable.
+                EXPECT_EQ(plan[k].shard, replay[k].shard);
+                EXPECT_EQ(plan[k].first, replay[k].first);
+                EXPECT_EQ(plan[k].count, replay[k].count);
+                EXPECT_EQ(plan[k].first, covered); // contiguous, in order
+                EXPECT_GT(plan[k].count, 0u);      // no empty spans
+                // Balanced to within one sample.
+                EXPECT_LE(plan[k].count, n / shards + 1);
+                covered += plan[k].count;
+            }
+            EXPECT_EQ(covered, n) << n << " samples, " << shards
+                                  << " shards";
+        }
+    }
+}
+
+TEST(Schedule, PathologicalShardCountsAreCappedNotLooped) {
+    // An unsigned wrap of "-1" (or any huge value) must not spin 2^64
+    // plan iterations or overflow the span arithmetic.
+    const auto plan =
+        exec::make_shard_plan(5, std::numeric_limits<std::size_t>::max());
+    ASSERT_EQ(plan.size(), 5u);
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+        EXPECT_EQ(plan[k].first, k);
+        EXPECT_EQ(plan[k].count, 1u);
+    }
+}
+
 TEST(Schedule, DynamicPlansAreContiguousGrainSizedAndSeeded) {
     const exec::span_planner planner(
         exec::parse_schedule_spec("dynamic:3"));
@@ -310,47 +324,27 @@ TEST(Schedule, DynamicSpanCountIsCappedDeterministically) {
 
 // --- policy invariance on every consumer ------------------------------------
 
-TEST(Schedule, ShardedScoresMatchStaticInEveryMode) {
-    for (const mode_case& mode : all_modes()) {
-        const batch_fixture fixture(61, mode.samples);
-        const exec::program program =
-            mode.full_circuit ? full_program(fixture.params, 1)
-                              : analytic_program(fixture.params, 1);
-        expect_schedule_invariant(
-            mode, [&](const exec::engine_config& config,
-                      const mode_case& m, std::span<double> out) {
-                exec::engine_config cfg = config;
-                cfg.shards = 3;
-                const auto engine =
-                    exec::make_executor("sharded:" + m.inner, cfg);
-                std::vector<util::rng> gens = fixture.make_gens(99);
-                engine->run_batch(
-                    program,
-                    fixture.make_samples(m.stochastic ? &gens : nullptr),
-                    out);
-            });
-    }
-}
-
 TEST(Schedule, RemoteScoresMatchStaticInEveryMode) {
-    for (const mode_case& mode : all_modes()) {
-        const batch_fixture fixture(63, mode.samples);
-        const exec::program program =
-            mode.full_circuit ? full_program(fixture.params, 1)
-                              : analytic_program(fixture.params, 1);
-        expect_schedule_invariant(
-            mode, [&](const exec::engine_config& config,
-                      const mode_case& m, std::span<double> out) {
-                exec::engine_config cfg = config;
-                cfg.shards = 2;
-                const exec::fleet_executor engine(cfg, m.inner,
-                                                  loopback_factory());
-                std::vector<util::rng> gens = fixture.make_gens(99);
-                engine.run_batch(
-                    program,
-                    fixture.make_samples(m.stochastic ? &gens : nullptr),
-                    out);
-            });
+    for (const std::size_t lanes : {2u, 3u}) {
+        for (const mode_case& mode : all_modes()) {
+            const batch_fixture fixture(63, mode.samples);
+            const exec::program program =
+                mode.full_circuit ? full_program(fixture.params, 1)
+                                  : analytic_program(fixture.params, 1);
+            expect_schedule_invariant(
+                mode, [&](const exec::engine_config& config,
+                          const mode_case& m, std::span<double> out) {
+                    exec::engine_config cfg = config;
+                    cfg.shards = lanes;
+                    const exec::fleet_executor engine(cfg, m.inner,
+                                                      loopback_factory());
+                    std::vector<util::rng> gens = fixture.make_gens(99);
+                    engine.run_batch(
+                        program,
+                        fixture.make_samples(m.stochastic ? &gens : nullptr),
+                        out);
+                });
+        }
     }
 }
 
@@ -383,7 +377,7 @@ TEST(Schedule, FleetScoresMatchStaticInEveryMode) {
     }
 }
 
-TEST(Schedule, ShardedLevelFamiliesMatchStaticBitForBit) {
+TEST(Schedule, RemoteLevelFamiliesMatchStaticBitForBit) {
     // The fused run_batch_levels path plans through the same planner —
     // one dynamic grain sweep over a 2-level family pins it too.
     const batch_fixture fixture(67, 10);
@@ -393,14 +387,15 @@ TEST(Schedule, ShardedLevelFamiliesMatchStaticBitForBit) {
     exec::engine_config config;
     config.shards = 3;
     std::vector<double> reference(fixture.amplitudes.size() * 2);
-    exec::make_executor("sharded:statevector", config)
-        ->run_batch_levels(levels, fixture.make_samples(), reference);
+    const exec::fleet_executor static_engine(config, "statevector",
+                                             loopback_factory());
+    static_engine.run_batch_levels(levels, fixture.make_samples(), reference);
     for (const char* spec : dynamic_grains) {
         config.schedule = exec::parse_schedule_spec(spec);
-        const auto engine =
-            exec::make_executor("sharded:statevector", config);
+        const exec::fleet_executor engine(config, "statevector",
+                                          loopback_factory());
         std::vector<double> out(reference.size());
-        engine->run_batch_levels(levels, fixture.make_samples(), out);
+        engine.run_batch_levels(levels, fixture.make_samples(), out);
         for (std::size_t i = 0; i < out.size(); ++i) {
             EXPECT_EQ(out[i], reference[i]) << spec << " value=" << i;
         }
@@ -510,8 +505,13 @@ TEST(Schedule, FleetStatsAccountForEveryDynamicSpan) {
 
 TEST(Schedule, DetectorScoresAreScheduleInvariant) {
     // End-to-end: the full Quorum pipeline (ensemble, fused levels,
-    // bucketing) through the sharded backend scores IEEE == under both
-    // policies — --schedule is a pure wall-clock knob.
+    // bucketing) through a 3-worker remote fleet scores IEEE == under
+    // both policies — --schedule is a pure wall-clock knob.
+    exec::register_backend("schedule_test_loopback",
+                           [](const exec::engine_config& config) {
+                               return std::make_unique<exec::fleet_executor>(
+                                   config, "statevector", loopback_factory());
+                           });
     std::vector<std::vector<double>> rows(18);
     util::rng gen(2025);
     for (auto& row : rows) {
@@ -524,7 +524,7 @@ TEST(Schedule, DetectorScoresAreScheduleInvariant) {
 
     core::quorum_config config;
     config.ensemble_groups = 8;
-    config.backend = "sharded";
+    config.backend = "schedule_test_loopback";
     config.shards = 3;
     const std::vector<double> reference =
         core::quorum_detector(config).score(data).scores;

@@ -495,9 +495,9 @@ TEST(WorkerSession, BadMagicAndUnknownTypesAreErrors) {
 
 TEST(WorkerSession, WrapperEngineNamesAreRejectedAtHello) {
     // A worker must never host a wrapper engine: inner = "remote" would
-    // fork grandchild workers, "sharded" would spin an all-cores pool —
-    // a single corrupted hello byte must not be able to do either.
-    for (const char* inner : {"remote", "sharded", "fleet", "a:b",
+    // fork grandchild workers — a single corrupted hello byte must not be
+    // able to do that.
+    for (const char* inner : {"remote", "fleet", "a:b",
                               "sharded:statevector", ""}) {
         exec::worker_session session;
         const std::string text = error_text(session.handle(
@@ -505,6 +505,12 @@ TEST(WorkerSession, WrapperEngineNamesAreRejectedAtHello) {
         EXPECT_NE(text.find("plain backend"), std::string::npos)
             << inner << ": " << text;
     }
+    // A plain name must also be registered.
+    exec::worker_session session;
+    const std::string text = error_text(session.handle(
+        make_hello_payload(exec::wire::protocol_version, "sharded")));
+    EXPECT_NE(text.find("unknown execution backend"), std::string::npos)
+        << text;
 }
 
 TEST(WorkerSession, ZeroSampleSpanReturnsEmptyResult) {

@@ -204,7 +204,7 @@ std::vector<tool_flags> all_tools() {
         help,
         {{"--qasm"}, kind::text},
         {{"--threads"}, kind::count},
-        {{"--shards", "--workers"}, kind::count},
+        {{"--workers"}, kind::count},
     };
     const flag_rows stream = {
         help,
@@ -358,6 +358,39 @@ TEST(ToolCli, BadScheduleIsAUsageErrorInEveryScoringTool) {
     }
 }
 
+TEST(ToolCli, BadBackendIsAUsageErrorInEveryScoringTool) {
+    // A spec naming no registered engine stops the tool while flags are
+    // parsed: before any data loads, in one line, with no source path.
+    const std::string registered =
+        "registered backends: density remote statevector";
+    for (const char* spec :
+         {"bogus", "sharded", "sharded:statevector", "remote:",
+          "remote:remote"}) {
+        for (const char* tool :
+             {QUORUM_CLI_BIN, QUORUM_STREAM_BIN, QUORUM_SERVE_BIN}) {
+            // quorum_serve has no --demo and names only plain engines.
+            const bool serve = tool == std::string(QUORUM_SERVE_BIN);
+            const std::vector<std::string> args =
+                serve ? std::vector<std::string>{"--backend", spec}
+                      : std::vector<std::string>{"--demo", "--backend",
+                                                 spec};
+            expect_usage_error(
+                tool, args,
+                serve ? "--backend must be a registered plain engine name"
+                      : "bad value '" + std::string(spec) +
+                            "' for --backend: " + registered);
+            const tool_run run = run_tool(tool, args);
+            EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1)
+                << tool_name(tool) << " " << spec << ": " << run.err;
+            EXPECT_EQ(run.err.find("src/"), std::string::npos) << run.err;
+        }
+    }
+    for (const char* tool : {QUORUM_CLI_BIN, QUORUM_STREAM_BIN}) {
+        const std::string help = run_tool(tool, {"--help"}).out;
+        EXPECT_TRUE(help.ends_with(registered + "\n")) << help;
+    }
+}
+
 TEST(ToolCli, UnknownModeIsAUsageErrorInEveryTool) {
     for (const char* tool :
          {QUORUM_CLI_BIN, QUORUM_STREAM_BIN, QUORUM_SERVE_BIN}) {
@@ -397,7 +430,8 @@ TEST(ToolCli, ServeBackendMustBeAPlainEngineName) {
     // missing-worker check instead of starting a fleet.
     for (const char* name : {"sharded", "remote", "fleet", "a:b", ""}) {
         expect_usage_error(QUORUM_SERVE_BIN, {"--backend", name},
-                           "--backend must be a plain engine name");
+                           "--backend must be a registered plain engine "
+                           "name");
     }
 }
 

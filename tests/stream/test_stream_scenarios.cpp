@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../loopback.h"
 #include "data/generators.h"
+#include "exec/fleet.h"
+#include "exec/registry.h"
 #include "metrics/roc.h"
 #include "util/rng.h"
 
@@ -73,16 +76,23 @@ TEST(StreamScenarios, AngleEncodingPrefixDeterminismAcrossEpochBoundary) {
 }
 
 TEST(StreamScenarios, DynamicScheduleMatchesStaticUnderBothEncodings) {
-    // --schedule dynamic:3 on a 2-lane sharded backend is a pure
-    // span-planning change: per-arrival scores must be IEEE-identical
-    // to the plain backend's, whichever encoding fills the prep slots.
+    // --schedule dynamic:3 on a 2-worker remote backend (loopback
+    // workers) is a pure span-planning change: per-arrival scores must be
+    // IEEE-identical to the plain backend's, whichever encoding fills the
+    // prep slots.
+    exec::register_backend("stream_test_loopback",
+                           [](const exec::engine_config& config) {
+                               return std::make_unique<exec::fleet_executor>(
+                                   config, "statevector",
+                                   test::loopback_factory());
+                           });
     const data::dataset d = sensor_stream(64);
     for (const qml::encoding enc :
          {qml::encoding::amplitude, qml::encoding::angle}) {
         stream::stream_config plain =
             scenario_config(enc, core::exec_mode::sampled);
         stream::stream_config dynamic = plain;
-        dynamic.detector.backend = "sharded";
+        dynamic.detector.backend = "stream_test_loopback";
         dynamic.detector.shards = 2;
         dynamic.detector.schedule = "dynamic:3";
         stream::stream_scorer a(plain, d.num_features());

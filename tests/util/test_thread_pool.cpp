@@ -1,7 +1,11 @@
+// util::parallel_for: every index once, on at most `lanes` threads, with
+// the first exception rethrown after the other iterations ran.
+#include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,77 +16,91 @@
 namespace {
 
 using quorum::util::default_thread_count;
-using quorum::util::thread_pool;
+using quorum::util::parallel_for;
 
 TEST(ThreadPool, ZeroRequestedGivesOneWorker) {
-    thread_pool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPool, SubmitReturnsResult) {
-    thread_pool pool(2);
-    auto future = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-    thread_pool pool(2);
-    auto future = pool.submit([]() -> int {
-        throw std::runtime_error("boom");
+    // Zero lanes still runs every index, all of them on the caller.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> visits{0};
+    std::atomic<bool> elsewhere{false};
+    parallel_for(20, 0, [&](std::size_t) {
+        visits.fetch_add(1);
+        if (std::this_thread::get_id() != caller) {
+            elsewhere.store(true);
+        }
     });
-    EXPECT_THROW(future.get(), std::runtime_error);
+    EXPECT_EQ(visits.load(), 20);
+    EXPECT_FALSE(elsewhere.load());
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
-    thread_pool pool(4);
     std::vector<std::atomic<int>> visits(1000);
-    pool.parallel_for(1000, [&](std::size_t i) { visits[i].fetch_add(1); });
+    parallel_for(1000, 4, [&](std::size_t i) { visits[i].fetch_add(1); });
     for (const auto& v : visits) {
         EXPECT_EQ(v.load(), 1);
     }
 }
 
 TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-    thread_pool pool(2);
     bool called = false;
-    pool.parallel_for(0, [&](std::size_t) { called = true; });
+    parallel_for(0, 4, [&](std::size_t) { called = true; });
     EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ParallelForMoreTasksThanThreads) {
-    thread_pool pool(2);
     std::atomic<long> sum{0};
-    pool.parallel_for(10000, [&](std::size_t i) {
+    parallel_for(10000, 2, [&](std::size_t i) {
         sum.fetch_add(static_cast<long>(i));
     });
     EXPECT_EQ(sum.load(), 10000L * 9999L / 2L);
 }
 
+TEST(ThreadPool, ParallelForRunsOnAtMostLanesThreads) {
+    // min(lanes, count) lanes: the caller and lanes - 1 started threads.
+    for (const std::size_t lanes : {1u, 3u, 8u}) {
+        for (const std::size_t count : {2u, 5u, 200u}) {
+            std::mutex mutex;
+            std::set<std::thread::id> seen;
+            parallel_for(count, lanes, [&](std::size_t) {
+                const std::scoped_lock lock(mutex);
+                seen.insert(std::this_thread::get_id());
+            });
+            EXPECT_LE(seen.size(), std::min(lanes, count))
+                << lanes << " lanes, " << count << " indices";
+        }
+    }
+}
+
 TEST(ThreadPool, ParallelForRethrowsBodyException) {
-    thread_pool pool(3);
-    EXPECT_THROW((pool.parallel_for(100,
-                                   [](std::size_t i) {
-                                       if (i == 57) {
-                                           throw std::runtime_error("body");
-                                       }
-                                   })), std::runtime_error);
+    EXPECT_THROW((parallel_for(100, 3,
+                               [](std::size_t i) {
+                                   if (i == 57) {
+                                       throw std::runtime_error("body");
+                                   }
+                               })),
+                 std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForContinuesAfterException) {
-    thread_pool pool(3);
-    // All non-throwing iterations must still run (no early abort guarantee
-    // needed, but the pool must stay usable afterwards).
-    try {
-        pool.parallel_for(50, [](std::size_t i) {
-            if (i == 0) {
-                throw std::runtime_error("first");
+    // Every other iteration runs before the first exception is rethrown.
+    for (const std::size_t lanes : {1u, 3u}) {
+        std::atomic<int> ran{0};
+        try {
+            parallel_for(50, lanes, [&](std::size_t i) {
+                if (i == 3 || i == 40) {
+                    throw std::runtime_error(i == 3 ? "first" : "second");
+                }
+                ran.fetch_add(1);
+            });
+            ADD_FAILURE() << "expected an exception";
+        } catch (const std::runtime_error& error) {
+            EXPECT_EQ(ran.load(), 48) << lanes << " lanes";
+            if (lanes == 1) {
+                // One lane runs in index order, so "first" is index 3's.
+                EXPECT_EQ(std::string(error.what()), "first");
             }
-        });
-    } catch (const std::runtime_error&) {
+        }
     }
-    std::atomic<int> count{0};
-    pool.parallel_for(50, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 50);
 }
 
 TEST(ThreadPool, DefaultThreadCountPositive) {
@@ -90,63 +108,44 @@ TEST(ThreadPool, DefaultThreadCountPositive) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-    // A body that re-enters parallel_for on the SAME pool: the caller
-    // participates in the work loop instead of sleeping on futures, so
-    // this completes even with a single worker.
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-        thread_pool pool(workers);
+    // Group-then-range nesting: every call starts its own threads.
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
         std::atomic<int> count{0};
-        pool.parallel_for(4, [&](std::size_t) {
-            pool.parallel_for(8, [&](std::size_t) { count.fetch_add(1); });
+        parallel_for(4, lanes, [&](std::size_t) {
+            parallel_for(8, lanes,
+                         [&](std::size_t) { count.fetch_add(1); });
         });
-        EXPECT_EQ(count.load(), 32) << workers << " workers";
+        EXPECT_EQ(count.load(), 32) << lanes << " lanes";
     }
 }
 
-TEST(ThreadPool, ParallelForInsideSubmittedTaskCompletes) {
-    thread_pool pool(1);
-    auto future = pool.submit([&pool]() {
-        long sum = 0;
-        std::mutex m;
-        pool.parallel_for(100, [&](std::size_t i) {
-            const std::scoped_lock lock(m);
-            sum += static_cast<long>(i);
-        });
-        return sum;
-    });
-    EXPECT_EQ(future.get(), 100L * 99L / 2L);
-}
-
 TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
-    thread_pool pool(2);
-    EXPECT_THROW(
-        (pool.parallel_for(3,
-                           [&](std::size_t) {
-                               pool.parallel_for(3, [](std::size_t i) {
-                                   if (i == 1) {
-                                       throw std::runtime_error("inner");
-                                   }
-                               });
-                           })),
-        std::runtime_error);
-    // The pool must stay fully usable afterwards.
+    EXPECT_THROW((parallel_for(3, 2,
+                               [&](std::size_t) {
+                                   parallel_for(3, 2, [](std::size_t i) {
+                                       if (i == 1) {
+                                           throw std::runtime_error(
+                                               "inner");
+                                       }
+                                   });
+                               })),
+                 std::runtime_error);
     std::atomic<int> count{0};
-    pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+    parallel_for(10, 2, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPool, ConcurrentParallelForCallsAreIndependent) {
-    // Two threads driving parallel_for on one shared pool (the shape of
-    // ensemble workers sharing one sharded engine).
-    thread_pool pool(2);
+    // Two threads driving parallel_for at once (the shape of a server
+    // scoring two requests).
     std::atomic<long> sum_a{0};
     std::atomic<long> sum_b{0};
     std::thread other([&]() {
-        pool.parallel_for(500, [&](std::size_t i) {
+        parallel_for(500, 2, [&](std::size_t i) {
             sum_a.fetch_add(static_cast<long>(i));
         });
     });
-    pool.parallel_for(500, [&](std::size_t i) {
+    parallel_for(500, 2, [&](std::size_t i) {
         sum_b.fetch_add(static_cast<long>(i));
     });
     other.join();
@@ -157,9 +156,8 @@ TEST(ThreadPool, ConcurrentParallelForCallsAreIndependent) {
 class PoolSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PoolSizeSweep, SumIndependentOfPoolSize) {
-    thread_pool pool(GetParam());
     std::atomic<long> sum{0};
-    pool.parallel_for(777, [&](std::size_t i) {
+    parallel_for(777, GetParam(), [&](std::size_t i) {
         sum.fetch_add(static_cast<long>(i * i));
     });
     long expected = 0;

@@ -168,7 +168,7 @@ void flag_table::print_usage(std::ostream& out) const {
         out << std::string(help_column - column, ' ') << line << "\n";
     }
     if (!footer_.empty()) {
-        out << "\n" << footer_;
+        out << "\n" << footer_ << "\n";
     }
 }
 
@@ -214,9 +214,9 @@ void add_scoring_flags(flag_table& flags, core::quorum_config& config) {
                  },
                  std::string(qml::encoding_name(config.encoding)));
     flags.choice("--schedule", "S",
-                 "span planning across lanes: static (one balanced span "
-                 "per lane) | dynamic[:grain] (lanes pull grain-sample "
-                 "spans); identical scores",
+                 "span planning across remote workers: static (one "
+                 "balanced span per worker) | dynamic[:grain] (workers "
+                 "pull grain-sample spans); identical scores",
                  [&config](const std::string& v) {
                      (void)exec::parse_schedule_spec(v);
                      config.schedule = v;
@@ -228,8 +228,8 @@ void add_scoring_flags(flag_table& flags, core::quorum_config& config) {
 
 void add_threads_flag(flag_table& flags, core::quorum_config& config) {
     flags.count("--threads", "N",
-                "ensemble threads, 0 = all cores; identical scores for any "
-                "value",
+                "ensemble threads, 0 = all cores: groups, then row ranges "
+                "of each group; identical scores for any value",
                 config.threads);
 }
 
@@ -250,9 +250,14 @@ void add_table_flags(flag_table& flags, table_options& table,
                  table.has_header, false);
     flags.count("--top", "K", "print the K strongest suspects", table.top);
     flags.text("--backend", "B",
-               "execution engine: auto | NAME | sharded[:NAME] | "
-               "remote[:NAME]",
-               config.backend);
+               "execution engine: auto | NAME | remote[:NAME]", config.backend);
+    flags.check([&config]() -> std::string {
+        if (exec::is_backend_registered(config.resolved_backend())) {
+            return {};
+        }
+        return "bad value '" + config.backend + "' for --backend: " +
+               registered_backends_line();
+    });
     flags.toggle("--no-fused",
                  "evaluate levels one batch at a time (identical scores)",
                  config.fused_levels, false);
@@ -263,7 +268,7 @@ std::string registered_backends_line() {
     for (const std::string& name : exec::backend_names()) {
         line += " " + name;
     }
-    return line + "\n";
+    return line;
 }
 
 } // namespace quorum::tools

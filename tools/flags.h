@@ -128,11 +128,13 @@ struct table_options {
 
 /// The rows quorum_cli and quorum_stream share: --input, --out|--output,
 /// --label-column, --no-header, --demo, --top, --backend and --no-fused.
+/// Once every flag parsed, --backend (as --mode resolves "auto") must
+/// name registered backends.
 void add_table_flags(flag_table& flags, table_options& table,
                      core::quorum_config& config);
 
-/// "registered backends: ..." for the usage footer of the tools that
-/// take a --backend spec.
+/// "registered backends: ..." (one line, no newline) for the usage
+/// footer and the --backend error of the tools that take a backend spec.
 [[nodiscard]] std::string registered_backends_line();
 
 } // namespace quorum::tools

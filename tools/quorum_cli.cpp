@@ -16,7 +16,6 @@
 #include "data/generators.h"
 #include "exec/fleet.h"
 #include "exec/schedule.h"
-#include "exec/sharded_backend.h"
 #include "flags.h"
 #include "metrics/confusion.h"
 #include "metrics/detection_curve.h"
@@ -51,9 +50,9 @@ int main(int argc, char** argv) {
                "also write one example circuit as OpenQASM 2.0", qasm_path);
     tools::add_scoring_flags(flags, config);
     tools::add_threads_flag(flags, config);
-    flags.count("--shards|--workers", "N",
-                "lanes of a sharded or remote backend: in-process shards or "
-                "quorum_worker processes, 0 = all cores; identical scores",
+    flags.count("--workers", "N",
+                "quorum_worker processes of a remote backend, 0 = all "
+                "cores; identical scores",
                 config.shards);
     if (const auto exit_code = flags.parse(argc, argv)) {
         return *exit_code;
@@ -89,14 +88,9 @@ int main(int argc, char** argv) {
         std::cout << "scoring: mode=" << core::exec_mode_name(
                          config.mode)
                   << " backend=" << config.resolved_backend();
-        if (config.resolved_backend().starts_with("sharded")) {
+        if (config.resolved_backend().starts_with("remote")) {
             // The backend's own resolution (0 = hardware threads,
             // clamped), so the header reports the lanes actually used.
-            std::cout << " shards="
-                      << exec::resolve_lane_count(
-                             config.shards,
-                             exec::sharded_backend::max_shards);
-        } else if (config.resolved_backend().starts_with("remote")) {
             std::cout << " workers="
                       << exec::resolve_lane_count(
                              config.shards,

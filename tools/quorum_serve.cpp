@@ -58,7 +58,6 @@ struct serve_options {
     std::uint16_t registry_port = 0;
     std::size_t workers = 2;
     std::vector<util::endpoint> connect_workers;
-    std::string backend = "auto";
     int rejoin_attempts = 5;
     std::size_t max_requests = 0;
     core::quorum_config config;
@@ -228,12 +227,7 @@ void handle_client(util::unique_fd fd, serve_state& state) {
 
 int run(const serve_options& options) {
     // --- fleet ----------------------------------------------------------
-    const std::string inner =
-        options.backend == "auto"
-            ? (options.config.mode == core::exec_mode::noisy
-                   ? "density"
-                   : "statevector")
-            : options.backend;
+    const std::string inner = options.config.resolved_backend();
     exec::fleet_config fleet_config;
     fleet_config.inner = inner;
     fleet_config.engine = options.config.to_engine_config();
@@ -375,7 +369,7 @@ int main(int argc, char** argv) {
                  });
     flags.text("--backend", "B",
                "inner backend each worker runs: auto | statevector | density",
-               options.backend);
+               options.config.backend);
     tools::add_scoring_flags(flags, options.config);
     tools::add_threads_flag(flags, options.config);
     flags.count("--rejoin-attempts", "N", "reconnect budget per worker death",
@@ -386,10 +380,11 @@ int main(int argc, char** argv) {
     if (const auto exit_code = flags.parse(argc, argv)) {
         return *exit_code;
     }
-    if (options.backend != "auto" &&
-        !exec::is_plain_engine_name(options.backend)) {
-        return flags.usage_error("--backend must be a plain engine name (the "
-                                 "fleet does the distribution)");
+    const std::string inner = options.config.resolved_backend();
+    if (!exec::is_plain_engine_name(inner) ||
+        !exec::is_backend_registered(inner)) {
+        return flags.usage_error(
+            "--backend must be a registered plain engine name");
     }
     if (options.workers + options.connect_workers.size() == 0) {
         return flags.usage_error("a fleet needs at least one worker "
