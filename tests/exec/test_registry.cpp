@@ -21,16 +21,6 @@ TEST(ExecRegistry, BuiltinsAreRegistered) {
     EXPECT_TRUE(exec::is_backend_registered("remote:density"));
     EXPECT_FALSE(exec::is_backend_registered("warp-drive"));
     EXPECT_FALSE(exec::is_backend_registered("remote:warp-drive"));
-    // Groups and row ranges share --threads in core; no built-in splits
-    // an executor call a second time in process.
-    EXPECT_EQ(std::find(names.begin(), names.end(), "sharded"), names.end());
-    for (const char* spec : {"sharded", "sharded:statevector",
-                             "sharded:density", "sharded:auto"}) {
-        EXPECT_FALSE(exec::is_backend_registered(spec)) << spec;
-        EXPECT_THROW((void)exec::make_executor(spec, exec::engine_config{}),
-                     util::contract_error)
-            << spec;
-    }
 }
 
 TEST(ExecRegistry, MakeExecutorInstantiatesByName) {
@@ -66,16 +56,30 @@ TEST(ExecRegistry, EveryInnerEngineNameSiteRejectsWrappersAndComposites) {
         EXPECT_THROW(exec::worker_fleet{fleet}, util::contract_error)
             << name;
     }
+}
+
+// --- the retired sharded:<inner> composite ----------------------------------
+// Groups and row ranges share --threads in core, so no built-in splits an
+// executor call a second time in process: every sharded spelling is now
+// outside the spec grammar and the registry.
+
+TEST(ShardedBackend, SpecParsingValidatesShape) {
     // The spec grammar: a name, or "remote:" and one plain name.
     EXPECT_THROW((void)exec::parse_backend_spec(""), util::contract_error);
     EXPECT_THROW((void)exec::parse_backend_spec(":statevector"),
                  util::contract_error);
     EXPECT_THROW((void)exec::parse_backend_spec("density:foo"),
                  util::contract_error);
-    EXPECT_THROW((void)exec::parse_backend_spec("sharded:statevector"),
-                 util::contract_error);
     EXPECT_THROW((void)exec::parse_backend_spec("remote:remote:density"),
                  util::contract_error);
+    for (const char* spec : {"sharded:", "sharded:statevector",
+                             "sharded:density", "sharded:sharded",
+                             "sharded:sharded:density"}) {
+        EXPECT_THROW((void)exec::parse_backend_spec(spec),
+                     util::contract_error)
+            << spec;
+    }
+
     const exec::backend_spec plain = exec::parse_backend_spec("density");
     EXPECT_EQ(plain.name, "density");
     EXPECT_TRUE(plain.inner.empty());
@@ -83,6 +87,19 @@ TEST(ExecRegistry, EveryInnerEngineNameSiteRejectsWrappersAndComposites) {
         exec::parse_backend_spec("remote:density");
     EXPECT_EQ(composite.name, "remote");
     EXPECT_EQ(composite.inner, "density");
+}
+
+TEST(ShardedBackend, RegistryResolvesShardedSpecs) {
+    const std::vector<std::string> names = exec::backend_names();
+    EXPECT_EQ(std::find(names.begin(), names.end(), "sharded"), names.end());
+    for (const char* spec :
+         {"sharded", "sharded:statevector", "sharded:density", "sharded:auto",
+          "sharded:bogus", "sharded:sharded"}) {
+        EXPECT_FALSE(exec::is_backend_registered(spec)) << spec;
+        EXPECT_THROW((void)exec::make_executor(spec, exec::engine_config{}),
+                     util::contract_error)
+            << spec;
+    }
 }
 
 /// A trivial backend: reports a constant. Registering it must make it

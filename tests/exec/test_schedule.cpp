@@ -324,27 +324,49 @@ TEST(Schedule, DynamicSpanCountIsCappedDeterministically) {
 
 // --- policy invariance on every consumer ------------------------------------
 
+TEST(Schedule, ShardedScoresMatchStaticInEveryMode) {
+    // The remote backend's lanes are its shards (engine_config::shards):
+    // three shards here, two in the case below.
+    for (const mode_case& mode : all_modes()) {
+        const batch_fixture fixture(61, mode.samples);
+        const exec::program program =
+            mode.full_circuit ? full_program(fixture.params, 1)
+                              : analytic_program(fixture.params, 1);
+        expect_schedule_invariant(
+            mode, [&](const exec::engine_config& config,
+                      const mode_case& m, std::span<double> out) {
+                exec::engine_config cfg = config;
+                cfg.shards = 3;
+                const exec::fleet_executor engine(cfg, m.inner,
+                                                  loopback_factory());
+                std::vector<util::rng> gens = fixture.make_gens(99);
+                engine.run_batch(
+                    program,
+                    fixture.make_samples(m.stochastic ? &gens : nullptr),
+                    out);
+            });
+    }
+}
+
 TEST(Schedule, RemoteScoresMatchStaticInEveryMode) {
-    for (const std::size_t lanes : {2u, 3u}) {
-        for (const mode_case& mode : all_modes()) {
-            const batch_fixture fixture(63, mode.samples);
-            const exec::program program =
-                mode.full_circuit ? full_program(fixture.params, 1)
-                                  : analytic_program(fixture.params, 1);
-            expect_schedule_invariant(
-                mode, [&](const exec::engine_config& config,
-                          const mode_case& m, std::span<double> out) {
-                    exec::engine_config cfg = config;
-                    cfg.shards = lanes;
-                    const exec::fleet_executor engine(cfg, m.inner,
-                                                      loopback_factory());
-                    std::vector<util::rng> gens = fixture.make_gens(99);
-                    engine.run_batch(
-                        program,
-                        fixture.make_samples(m.stochastic ? &gens : nullptr),
-                        out);
-                });
-        }
+    for (const mode_case& mode : all_modes()) {
+        const batch_fixture fixture(63, mode.samples);
+        const exec::program program =
+            mode.full_circuit ? full_program(fixture.params, 1)
+                              : analytic_program(fixture.params, 1);
+        expect_schedule_invariant(
+            mode, [&](const exec::engine_config& config,
+                      const mode_case& m, std::span<double> out) {
+                exec::engine_config cfg = config;
+                cfg.shards = 2;
+                const exec::fleet_executor engine(cfg, m.inner,
+                                                  loopback_factory());
+                std::vector<util::rng> gens = fixture.make_gens(99);
+                engine.run_batch(
+                    program,
+                    fixture.make_samples(m.stochastic ? &gens : nullptr),
+                    out);
+            });
     }
 }
 
