@@ -1,22 +1,28 @@
 // Span-scheduling bench: static vs dynamic (work-pulling) span planning
-// on a deliberately SKEWED batch, across shard counts — the workload the
-// exec::schedule subsystem exists for.
+// through the worker fleet (exec/fleet.h) on a deliberately SKEWED batch,
+// across lane counts — the workload `--schedule dynamic` exists for.
 //
 // Skew model: a "skewed_bucket" wrapper backend re-evaluates marked
 // samples `--heavy-reps` times (marker: negated first amplitude, so the
-// cost key travels WITH the sample through any partitioning). The heavy
-// samples sit in one contiguous prefix — the shape of a big bucket — so
-// the static plan hands one lane ~8x the work of its siblings while
-// dynamic lanes pull grain-sized spans past the hot spot. Scores are
+// cost key travels WITH the sample through any partitioning and over the
+// wire). The heavy samples sit in one contiguous prefix — the shape of a
+// big bucket — so the static plan hands one lane ~8x the work of its
+// siblings while dynamic lanes pull grain-sized spans past the hot spot.
+//
+// Workers: every fleet lane is a real wire channel, a socketpair whose
+// far end a thread serves with exec::serve_channel (the frame loop
+// quorum_worker runs), so each span pays the fleet's full encode, frame
+// and decode cost. The workers share the bench's process, which is how
+// they find the bench-registered skewed engine by name. Scores are
 // asserted bit-identical between the policies before anything is
 // reported: the knob under test moves wall-clock only.
 //
 // Emits the flat BENCH_*.json artifact shape CI persists and bench_diff
-// gates: {static,dynamic}_s{1,2}_samples_per_second (higher is better)
-// are gated; the s4/s8 rows and the dynamic/static ratios ride in the
+// gates: {static,dynamic}_l{1,2}_samples_per_second (higher is better)
+// are gated; the l4/l8 rows and the dynamic/static ratios ride in the
 // ungated "detail" object — on a 1-core runner every ratio is ~1.0 (the
 // policies cost the same CPU), the multi-core CI leg is where dynamic's
-// >= 1.3x shows up.
+// win shows up.
 //
 //   --samples N      batch size (default 256; heavy prefix is N/8)
 //   --heavy-reps N   re-evaluations per heavy sample (default 8)
@@ -27,18 +33,26 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "bench_common.h"
+#include "exec/fleet.h"
 #include "exec/registry.h"
 #include "exec/schedule.h"
+#include "exec/tcp_transport.h"
+#include "exec/wire.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
 #include "qml/swap_test.h"
+#include "util/net.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -125,21 +139,68 @@ struct run_result {
     double checksum = 0.0;
 };
 
-run_result time_policy(const workload& work, std::size_t shards,
+/// In-process fleet workers: each transport the factory makes is one end
+/// of a socketpair whose other end a thread serves with
+/// exec::serve_channel until the fleet closes it. Destroy the fleet
+/// first; the destructor joins the serving threads.
+class channel_workers {
+public:
+    channel_workers() = default;
+    channel_workers(const channel_workers&) = delete;
+    channel_workers& operator=(const channel_workers&) = delete;
+
+    ~channel_workers() {
+        for (std::thread& worker : threads_) {
+            worker.join();
+        }
+    }
+
+    [[nodiscard]] exec::transport_factory factory() {
+        return [this](std::size_t index)
+                   -> std::unique_ptr<exec::wire_transport> {
+            int sv[2];
+            if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) !=
+                0) {
+                throw exec::transport_error("socketpair failed");
+            }
+            util::unique_fd near(sv[0]);
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                threads_.emplace_back([far = util::unique_fd(sv[1])] {
+                    (void)exec::serve_channel(far.get(), far.get());
+                });
+            }
+            return std::make_unique<exec::tcp_transport>(
+                std::move(near), "in-process worker " + std::to_string(index));
+        };
+    }
+
+private:
+    std::mutex mutex_;
+    std::vector<std::thread> threads_;
+};
+
+run_result time_policy(const workload& work, std::size_t lanes,
                        const std::string& schedule, std::size_t reps) {
-    exec::engine_config config;
-    config.shards = shards;
-    config.schedule = exec::parse_schedule_spec(schedule);
-    const auto engine =
-        exec::make_executor("sharded:skewed_bucket", config);
+    channel_workers workers;
+    exec::fleet_config config;
+    config.inner = "skewed_bucket";
+    config.engine.schedule = exec::parse_schedule_spec(schedule);
+    const auto fleet = std::make_shared<exec::worker_fleet>(config);
+    for (std::size_t i = 0; i < lanes; ++i) {
+        fleet->add_factory_lane(workers.factory(),
+                                "in-process worker " + std::to_string(i));
+    }
+    fleet->wait_for_lanes(lanes, 15000);
+    const exec::fleet_executor engine(fleet);
     const std::vector<exec::sample> samples = work.make_samples();
     std::vector<double> out(samples.size());
-    engine->run_batch(work.program, samples, out); // warm-up
+    engine.run_batch(work.program, samples, out); // warm-up
     run_result result;
     result.best_seconds = 1e100;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         util::timer timer;
-        engine->run_batch(work.program, samples, out);
+        engine.run_batch(work.program, samples, out);
         result.best_seconds = std::min(result.best_seconds,
                                        timer.seconds());
     }
@@ -172,45 +233,44 @@ int main(int argc, char** argv) {
                 "%zu reps, dynamic grain %zu, %u hardware threads\n",
                 samples, samples / 8, g_heavy_reps, reps, grain, cores);
 
-    constexpr std::size_t shard_counts[] = {1, 2, 4, 8};
+    constexpr std::size_t lane_counts[] = {1, 2, 4, 8};
     double static_sps[4] = {};
     double dynamic_sps[4] = {};
     for (std::size_t s = 0; s < 4; ++s) {
-        const std::size_t shards = shard_counts[s];
-        const run_result st = time_policy(work, shards, "static", reps);
-        const run_result dy =
-            time_policy(work, shards, dynamic_spec, reps);
+        const std::size_t lanes = lane_counts[s];
+        const run_result st = time_policy(work, lanes, "static", reps);
+        const run_result dy = time_policy(work, lanes, dynamic_spec, reps);
         if (st.checksum != dy.checksum) { // bitwise: sums of equal bits
             std::fprintf(stderr,
                          "bench_exec_schedule: DETERMINISM VIOLATION at "
-                         "shards=%zu: static checksum %.17g != dynamic "
+                         "lanes=%zu: static checksum %.17g != dynamic "
                          "%.17g\n",
-                         shards, st.checksum, dy.checksum);
+                         lanes, st.checksum, dy.checksum);
             return 1;
         }
         static_sps[s] =
             static_cast<double>(samples) / st.best_seconds;
         dynamic_sps[s] =
             static_cast<double>(samples) / dy.best_seconds;
-        std::printf("  shards=%zu static %.0f samples/s, %s %.0f "
+        std::printf("  lanes=%zu static %.0f samples/s, %s %.0f "
                     "samples/s (dynamic/static %.2fx)\n",
-                    shards, static_sps[s], dynamic_spec.c_str(),
+                    lanes, static_sps[s], dynamic_spec.c_str(),
                     dynamic_sps[s], dynamic_sps[s] / static_sps[s]);
     }
 
     char json[768];
     std::snprintf(
         json, sizeof(json),
-        "{\"bench\":\"exec_schedule\",\"samples\":%zu,\"heavy_reps\":%zu,"
-        "\"grain\":%zu,\"hardware_threads\":%u,"
-        "\"static_s1_samples_per_second\":%.1f,"
-        "\"dynamic_s1_samples_per_second\":%.1f,"
-        "\"static_s2_samples_per_second\":%.1f,"
-        "\"dynamic_s2_samples_per_second\":%.1f,"
-        "\"detail\":{\"static_s4\":%.1f,\"dynamic_s4\":%.1f,"
-        "\"static_s8\":%.1f,\"dynamic_s8\":%.1f,"
-        "\"dynamic_over_static\":{\"s1\":%.3f,\"s2\":%.3f,\"s4\":%.3f,"
-        "\"s8\":%.3f}}}",
+        "{\"bench\":\"exec_schedule_fleet\",\"samples\":%zu,"
+        "\"heavy_reps\":%zu,\"grain\":%zu,\"hardware_threads\":%u,"
+        "\"static_l1_samples_per_second\":%.1f,"
+        "\"dynamic_l1_samples_per_second\":%.1f,"
+        "\"static_l2_samples_per_second\":%.1f,"
+        "\"dynamic_l2_samples_per_second\":%.1f,"
+        "\"detail\":{\"static_l4\":%.1f,\"dynamic_l4\":%.1f,"
+        "\"static_l8\":%.1f,\"dynamic_l8\":%.1f,"
+        "\"dynamic_over_static\":{\"l1\":%.3f,\"l2\":%.3f,\"l4\":%.3f,"
+        "\"l8\":%.3f}}}",
         samples, g_heavy_reps, grain, cores, static_sps[0],
         dynamic_sps[0], static_sps[1], dynamic_sps[1], static_sps[2],
         dynamic_sps[2], static_sps[3], dynamic_sps[3],

@@ -19,6 +19,15 @@
 
 namespace quorum::core {
 
+std::size_t row_lanes(std::size_t threads, std::size_t groups,
+                      const exec::executor& engine) {
+    QUORUM_EXPECTS(groups >= 1);
+    if (engine.supports(exec::capability::parallel_batches)) {
+        return 1;
+    }
+    return std::clamp<std::size_t>(threads / groups, 1, max_row_ranges);
+}
+
 exec::program
 make_level_program(const qml::ansatz_params& params, std::size_t level,
                    const quorum_config& config,

@@ -28,6 +28,19 @@ inline constexpr double sigma_floor = 1e-9;
 /// the per-call scratch stays bounded on very large tables.
 inline constexpr std::size_t ensemble_chunk_rows = 4096;
 
+/// Most row ranges one group's rows split into, however many threads a
+/// config asks for: beyond this a thread count is a misconfiguration,
+/// not a parallelism request.
+inline constexpr std::size_t max_row_ranges = 256;
+
+/// The `lanes` quorum_detector::score passes run_ensemble_group: the
+/// threads each of `groups` groups gets, floor(threads / groups), within
+/// [1, max_row_ranges]; and 1 on an engine that already spreads every
+/// batch over lanes of its own (exec::capability::parallel_batches),
+/// where each range would only add one fleet dispatch.
+[[nodiscard]] std::size_t row_lanes(std::size_t threads, std::size_t groups,
+                                    const exec::executor& engine);
+
 /// One compiled SWAP-test program per (group, level): the ansatz + SWAP
 /// suffix is shared by every sample, so build/validate/fuse it once and
 /// replay it across the group's rows through the executor. The register-A overlap
@@ -57,8 +70,8 @@ struct group_result {
 /// run_batch per level and chunk when config.fused_levels is off; scores
 /// are identical either way. `lanes` > 1 splits the rows into
 /// min(lanes, rows) contiguous ranges evaluated concurrently, each
-/// through the same chunk loop; quorum_detector::score sets it when a
-/// table has fewer groups than threads. Buckets only group the resulting
+/// through the same chunk loop; quorum_detector::score sets it to
+/// row_lanes(...). Buckets only group the resulting
 /// p-values for the per-(bucket, level) z-scores. Backends are
 /// thread-safe, so the detector builds one engine per score() call and
 /// shares it across all groups and ranges. Deterministic: depends only

@@ -33,23 +33,22 @@ score_report quorum_detector::score(const data::dataset& input) const {
             ? data::normalize_unit_range(input.without_labels())
             : data::normalize_for_quorum(input.without_labels());
 
-    // --threads is spent here only: across groups, and across each
-    // group's rows when there are fewer groups than threads, so at most
-    // min(threads, groups * rows) lanes run at once.
-    const std::size_t threads =
-        config_.threads == 0 ? util::default_thread_count() : config_.threads;
-    const std::size_t row_lanes =
-        std::max<std::size_t>(1, threads / config_.ensemble_groups);
-
     // One engine for the whole run, shared by every group and row range
     // (backends are thread-safe).
     const std::unique_ptr<exec::executor> engine = exec::make_executor(
         config_.resolved_backend(), config_.to_engine_config());
 
+    // --threads is spent here only: across groups, and across each
+    // group's rows when there are fewer groups than threads (row_lanes),
+    // so at most min(threads, groups * rows) lanes run at once.
+    const std::size_t threads =
+        config_.threads == 0 ? util::default_thread_count() : config_.threads;
+    const std::size_t lanes =
+        row_lanes(threads, config_.ensemble_groups, *engine);
+
     std::vector<group_result> groups(config_.ensemble_groups);
     util::parallel_for(config_.ensemble_groups, threads, [&](std::size_t g) {
-        groups[g] =
-            run_ensemble_group(normalized, config_, g, *engine, row_lanes);
+        groups[g] = run_ensemble_group(normalized, config_, g, *engine, lanes);
     });
     return aggregate_groups(groups);
 }

@@ -129,6 +129,11 @@ enum class capability {
     /// naive per-level base implementation — the capability only tells
     /// callers whether fusing buys anything.
     fused_levels,
+    /// run_batch and run_batch_levels already spread every batch over
+    /// concurrent lanes of the backend's own (the worker fleet), so a
+    /// caller that splits a batch gains no parallelism and pays one
+    /// dispatch per piece.
+    parallel_batches,
 };
 
 /// A persistent evaluation session over one program family — the

@@ -228,7 +228,8 @@ public:
         return probe_->supports(kind);
     }
     [[nodiscard]] bool supports(capability what) const noexcept override {
-        return probe_->supports(what);
+        return what == capability::parallel_batches ||
+               probe_->supports(what);
     }
 
     /// Single circuits have nothing to distribute; local probe.

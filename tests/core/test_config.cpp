@@ -146,8 +146,9 @@ TEST(Config, RejectsMalformedOrIncompatibleShardedSpecs) {
     EXPECT_THROW(config.validate(), quorum::util::contract_error);
     config.backend = "statevector:statevector";
     EXPECT_THROW(config.validate(), quorum::util::contract_error);
-    // A mode/inner pair that is incompatible unsharded stays rejected.
-    config.backend = "sharded:density";
+    // A registered engine that cannot run the mode is rejected too; the
+    // remote:density case is RemoteBackendSpecsResolveAndValidate's.
+    config.backend = "density";
     config.mode = exec_mode::per_shot;
     EXPECT_THROW(config.validate(), quorum::util::contract_error);
 }

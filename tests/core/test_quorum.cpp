@@ -4,15 +4,18 @@
 #include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "../loopback.h"
 #include "util/contracts.h"
 
 #include "core/quorum.h"
 #include "data/bucketing.h"
 #include "data/generators.h"
 #include "data/preprocess.h"
+#include "exec/fleet.h"
 #include "exec/registry.h"
 #include "metrics/confusion.h"
 #include "metrics/detection_curve.h"
@@ -311,6 +314,60 @@ TEST(QuorumDetector, RowRangesMatchOneRangeInEveryMode) {
             }
         }
     }
+}
+
+TEST(QuorumDetector, RowLanesAreCappedAndOneOnFleetEngines) {
+    // The lane count alone: no batch runs, so no thread starts, and a
+    // remote engine starts its workers only at its first batch.
+    const quorum::exec::engine_config engine_config;
+    const auto local =
+        quorum::exec::make_executor("statevector", engine_config);
+    EXPECT_EQ(row_lanes(1, 1, *local), 1u);
+    EXPECT_EQ(row_lanes(2, 40, *local), 1u);
+    EXPECT_EQ(row_lanes(4, 2, *local), 2u);
+    EXPECT_EQ(row_lanes(7, 3, *local), 2u);
+    EXPECT_EQ(row_lanes(max_row_ranges, 1, *local), max_row_ranges);
+    EXPECT_EQ(row_lanes(100000, 1, *local), max_row_ranges);
+    EXPECT_EQ(row_lanes(100000, 3, *local), max_row_ranges);
+
+    const auto remote =
+        quorum::exec::make_executor("remote:statevector", engine_config);
+    EXPECT_TRUE(remote->supports(quorum::exec::capability::parallel_batches));
+    EXPECT_FALSE(local->supports(quorum::exec::capability::parallel_batches));
+    EXPECT_EQ(row_lanes(4, 1, *remote), 1u);
+    EXPECT_EQ(row_lanes(100000, 1, *remote), 1u);
+}
+
+TEST(QuorumDetector, FleetEnginesScoreEachGroupInOneBatch) {
+    // A fleet already spreads every batch over its workers, so score()
+    // leaves a group's rows whole on it however many threads it has: one
+    // group of 24 rows at 8 threads is one batch, one span per lane, not
+    // one batch per row range.
+    quorum::exec::fleet_config fleet_config;
+    auto fleet = std::make_shared<quorum::exec::worker_fleet>(fleet_config);
+    for (std::size_t i = 0; i < 2; ++i) {
+        fleet->add_factory_lane(quorum::test::loopback_factory(),
+                                "loop #" + std::to_string(i));
+    }
+    fleet->wait_for_lanes(2, 5000);
+    // The registry outlives the test; the fleet must not.
+    quorum::exec::register_backend(
+        "quorum_test_shared_fleet",
+        [weak = std::weak_ptr(fleet)](const quorum::exec::engine_config&) {
+            return std::make_unique<quorum::exec::fleet_executor>(
+                weak.lock());
+        });
+
+    const dataset d = planted_dataset(37, 24, 1);
+    quorum_config config = fast_config();
+    config.ensemble_groups = 1;
+    config.threads = 1;
+    const score_report local = quorum_detector(config).score(d);
+    config.backend = "quorum_test_shared_fleet";
+    config.threads = 8;
+    const std::size_t before = fleet->stats().spans_completed;
+    EXPECT_EQ(quorum_detector(config).score(d).scores, local.scores);
+    EXPECT_EQ(fleet->stats().spans_completed - before, 2u);
 }
 
 TEST(QuorumDetector, RejectsDegenerateDatasets) {

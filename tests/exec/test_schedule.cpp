@@ -150,19 +150,20 @@ constexpr const char* dynamic_grains[] = {"dynamic:1", "dynamic:3",
 void expect_schedule_invariant(
     const mode_case& mode,
     const std::function<void(const exec::engine_config&, const mode_case&,
-                             std::span<double>)>& run_once) {
+                             std::span<double>)>& run_once,
+    std::size_t values_per_sample = 1) {
     mode_case current = mode;
-    std::vector<double> reference(mode.samples);
+    std::vector<double> reference(mode.samples * values_per_sample);
     current.config.schedule = exec::parse_schedule_spec("static");
     run_once(current.config, current, reference);
     for (const char* spec : dynamic_grains) {
         current.config.schedule = exec::parse_schedule_spec(spec);
-        std::vector<double> out(mode.samples);
+        std::vector<double> out(reference.size());
         run_once(current.config, current, out);
         for (std::size_t i = 0; i < out.size(); ++i) {
             // EXPECT_EQ on doubles = bit-identical.
             EXPECT_EQ(out[i], reference[i])
-                << mode.name << " " << spec << " sample=" << i;
+                << mode.name << " " << spec << " value=" << i;
         }
     }
 }
@@ -325,26 +326,48 @@ TEST(Schedule, DynamicSpanCountIsCappedDeterministically) {
 // --- policy invariance on every consumer ------------------------------------
 
 TEST(Schedule, ShardedScoresMatchStaticInEveryMode) {
-    // The remote backend's lanes are its shards (engine_config::shards):
-    // three shards here, two in the case below.
+    // Level families — the detector's fused run_batch_levels path —
+    // sharded over 2 and 3 remote workers (engine_config::shards), in
+    // every mode: each level draws from its own stream, as the detector
+    // hands them out.
     for (const mode_case& mode : all_modes()) {
         const batch_fixture fixture(61, mode.samples);
-        const exec::program program =
-            mode.full_circuit ? full_program(fixture.params, 1)
-                              : analytic_program(fixture.params, 1);
-        expect_schedule_invariant(
-            mode, [&](const exec::engine_config& config,
-                      const mode_case& m, std::span<double> out) {
-                exec::engine_config cfg = config;
-                cfg.shards = 3;
-                const exec::fleet_executor engine(cfg, m.inner,
-                                                  loopback_factory());
-                std::vector<util::rng> gens = fixture.make_gens(99);
-                engine.run_batch(
-                    program,
-                    fixture.make_samples(m.stochastic ? &gens : nullptr),
-                    out);
-            });
+        std::vector<exec::program> levels;
+        for (const std::size_t level : {1u, 2u}) {
+            levels.push_back(mode.full_circuit
+                                 ? full_program(fixture.params, level)
+                                 : analytic_program(fixture.params, level));
+        }
+        for (const std::size_t workers : {2u, 3u}) {
+            expect_schedule_invariant(
+                mode,
+                [&](const exec::engine_config& config, const mode_case& m,
+                    std::span<double> out) {
+                    exec::engine_config cfg = config;
+                    cfg.shards = workers;
+                    const exec::fleet_executor engine(cfg, m.inner,
+                                                      loopback_factory());
+                    std::vector<util::rng> level_one = fixture.make_gens(99);
+                    std::vector<util::rng> level_two =
+                        fixture.make_gens(199);
+                    std::vector<util::rng*> gen_ptrs;
+                    for (std::size_t i = 0; i < level_one.size(); ++i) {
+                        gen_ptrs.push_back(&level_one[i]);
+                        gen_ptrs.push_back(&level_two[i]);
+                    }
+                    std::vector<exec::sample> samples =
+                        fixture.make_samples();
+                    if (m.stochastic) {
+                        for (std::size_t i = 0; i < samples.size(); ++i) {
+                            samples[i].level_gens =
+                                std::span<util::rng* const>(
+                                    gen_ptrs.data() + 2 * i, 2);
+                        }
+                    }
+                    engine.run_batch_levels(levels, samples, out);
+                },
+                levels.size());
+        }
     }
 }
 
@@ -354,19 +377,21 @@ TEST(Schedule, RemoteScoresMatchStaticInEveryMode) {
         const exec::program program =
             mode.full_circuit ? full_program(fixture.params, 1)
                               : analytic_program(fixture.params, 1);
-        expect_schedule_invariant(
-            mode, [&](const exec::engine_config& config,
-                      const mode_case& m, std::span<double> out) {
-                exec::engine_config cfg = config;
-                cfg.shards = 2;
-                const exec::fleet_executor engine(cfg, m.inner,
-                                                  loopback_factory());
-                std::vector<util::rng> gens = fixture.make_gens(99);
-                engine.run_batch(
-                    program,
-                    fixture.make_samples(m.stochastic ? &gens : nullptr),
-                    out);
-            });
+        for (const std::size_t workers : {2u, 3u}) {
+            expect_schedule_invariant(
+                mode, [&](const exec::engine_config& config,
+                          const mode_case& m, std::span<double> out) {
+                    exec::engine_config cfg = config;
+                    cfg.shards = workers;
+                    const exec::fleet_executor engine(cfg, m.inner,
+                                                      loopback_factory());
+                    std::vector<util::rng> gens = fixture.make_gens(99);
+                    engine.run_batch(
+                        program,
+                        fixture.make_samples(m.stochastic ? &gens : nullptr),
+                        out);
+                });
+        }
     }
 }
 

@@ -229,7 +229,8 @@ void add_scoring_flags(flag_table& flags, core::quorum_config& config) {
 void add_threads_flag(flag_table& flags, core::quorum_config& config) {
     flags.count("--threads", "N",
                 "ensemble threads, 0 = all cores: groups, then row ranges "
-                "of each group; identical scores for any value",
+                "of each group (not on a worker fleet); identical scores "
+                "for any value",
                 config.threads);
 }
 
